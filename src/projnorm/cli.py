@@ -9,8 +9,6 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid parameters or malformed input, 3 solver
 failure, 4 a reproduction run finished but its expected property failed.
-The environment variable PROJNORM_SEED is reserved; nothing here is
-randomized, so it is currently unused.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -47,6 +46,24 @@ def _parse_int_list(text):
 
 def _parse_float_list(text):
     return [float(p) for p in text.split(",") if p]
+
+
+# A negative number or number list such as "-0.5,0.25".  No option of the
+# parser looks like this, but argparse reads any word starting with "-" that
+# is not a lone negative number as an option.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv):
+    """Rewrite "--opt -0.5,1" as "--opt=-0.5,1" so argparse takes the value."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VALUE.match(arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _single(values, name):
@@ -178,7 +195,7 @@ def cmd_norm(args):
     print(f"exact <= bound: {norm <= bound + 1e-9}")
     c0 = prop1_bound = None
     if mesh.dim == 2:
-        result = proj.proposition1_check(mesh)
+        result = proj.proposition1_check(mesh, norm)
         c0, prop1_bound = result.c0, result.bound
         print(
             f"c0: {result.c0:.12g}  prop1_bound: {result.bound:.12g}  "
@@ -251,7 +268,8 @@ def _write_csv(records, path):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_values(argv))
     handlers = {
         "mesh": cmd_mesh,
         "project": cmd_project,

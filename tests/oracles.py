@@ -3,8 +3,9 @@
 Nothing here shares code with the closed-form assembly paths under test:
 mass matrices and loads are integrated with a tensor Gauss-Legendre rule
 mapped onto the simplex (Duffy transform), absolute integrals of splines are
-approximated by centroid rules on fine self-similar subdivisions, and witness
-norms are found by brute force over all cellwise sign patterns.
+approximated by centroid rules on fine self-similar subdivisions or computed
+simplex by simplex with a scalar recursion, and witness norms are found by
+brute force over all cellwise sign patterns.
 """
 
 import itertools
@@ -106,6 +107,51 @@ def subdivision_abs_integral(mesh, nodal, k=256):
             total += float(mesh.simplex_volumes[s]) * area_frac * np.abs(vals).sum()
         return total
     raise NotImplementedError("subdivision oracle implemented for d = 1, 2")
+
+
+def _abs_simplex(values, volume, vol_floor, sign_rtol):
+    """Integral of |linear| over one simplex by recursive edge splitting.
+
+    Without a sign change the integral is volume times |mean|.  Otherwise the
+    simplex is split at the zero theta = v_i / (v_i - v_j) of the edge from
+    the first positive vertex i to the first negative vertex j; the children
+    replace v_j (resp. v_i) by 0 and have theta (resp. 1 - theta) times the
+    volume.  Branches below vol_floor are dropped.
+    """
+    if volume <= vol_floor:
+        return 0.0
+    vmax = np.abs(values).max()
+    if vmax == 0.0:
+        return 0.0
+    thr = sign_rtol * vmax
+    pos = values > thr
+    neg = values < -thr
+    if not pos.any() or not neg.any():
+        return volume * abs(values.mean())
+    i = int(np.argmax(pos))
+    j = int(np.argmax(neg))
+    theta = values[i] / (values[i] - values[j])
+    child_a = values.copy()
+    child_a[j] = 0.0
+    child_b = values.copy()
+    child_b[i] = 0.0
+    return _abs_simplex(child_a, theta * volume, vol_floor, sign_rtol) + _abs_simplex(
+        child_b, (1.0 - theta) * volume, vol_floor, sign_rtol
+    )
+
+
+def recursive_abs_integral(mesh, nodal, sign_rtol=1e-14, volume_drop=1e-16):
+    """Integral of |spline| summed one simplex at a time with _abs_simplex.
+
+    The scalar form of the library's edge-split rule, with the same sign
+    threshold; branches thinner than volume_drop times their simplex are
+    dropped.
+    """
+    nodal = np.asarray(nodal, dtype=float)
+    total = 0.0
+    for row, volume in zip(mesh.simplices, mesh.simplex_volumes):
+        total += _abs_simplex(nodal[row], float(volume), volume_drop * float(volume), sign_rtol)
+    return total
 
 
 def brute_force_witness(mesh, mass_dense):

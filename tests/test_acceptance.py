@@ -298,7 +298,7 @@ def test_criterion_9_coupling_bound_holds():
     slack = np.inf
     all_ok = True
     for mesh in meshes:
-        result = proposition1_check(mesh)
+        result = proposition1_check(mesh, exact_operator_norm(mesh)[0])
         all_ok &= result.satisfied
         slack = min(slack, result.bound - result.exact_norm)
     elapsed = time.perf_counter() - start

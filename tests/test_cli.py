@@ -37,6 +37,12 @@ class TestMeshCommand:
                    "-o", str(out)) == 0
         assert load_mesh(out).n_simplices == 3
 
+    def test_interval_with_negative_breakpoints(self, tmp_path):
+        out = tmp_path / "mesh.json"
+        assert run("mesh", "interval", "--breakpoints", "-1,-0.5,0,1",
+                   "-o", str(out)) == 0
+        assert load_mesh(out).vertices[0, 0] == -1.0
+
     def test_invalid_parameters_exit_2(self, tmp_path):
         out = tmp_path / "mesh.json"
         assert run("mesh", "counterexample2d", "--J", "0", "--t", "0.3",
@@ -79,6 +85,18 @@ class TestProjectCommand:
     def test_value_count_mismatch_exits_2(self, mesh_file, tmp_path):
         assert run("project", "--mesh", str(mesh_file), "--values", "1,2,3",
                    "-o", str(tmp_path / "r.json")) == 2
+
+    def test_negative_first_value(self, mesh_file, tmp_path):
+        # the space-separated form takes a list that starts with a minus sign
+        values = ",".join(["-0.5", "0.25"] * 6)
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert run("project", "--mesh", str(mesh_file), "--values", values,
+                   "-o", str(spaced)) == 0
+        assert run("project", "--mesh", str(mesh_file), f"--values={values}",
+                   "-o", str(joined)) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert run("project", "--mesh", str(mesh_file), "--values", "-1",
+                   "-o", str(tmp_path / "r.json")) == 2  # 1 value for 12 simplices
 
     def test_oscillating_needs_labels(self, tmp_path):
         mesh_file = tmp_path / "u.json"

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from projnorm import projection
 from projnorm import (
     CellwiseConstant,
     InvalidParameter,
@@ -265,14 +266,92 @@ class TestAbsIntegral:
             spline_abs_integral(unit_triangle(), [1.0, 2.0])
 
 
+# Batched integrals against the scalar recursion: the same splits summed in
+# another order, so they agree to a few ulps per simplex.
+BATCH_RTOL = 1e-13
+
+
+def _batch_meshes():
+    rng = np.random.default_rng(5)
+    square = build_uniform_square(3)
+    yield build_interval_partition(oracles.random_interval_mesh(rng))
+    yield SimplicialMesh(oracles.jittered_square_vertices(rng, 3), square.simplices)
+    yield build_counterexample_2d(2, 0.01)
+    yield build_pyramid_partition(2, 0.1, 3)
+    yield build_pyramid_partition(1, 0.3, 4)
+    for d in range(1, 5):
+        yield SimplicialMesh(oracles.random_simplex_vertices(rng, d),
+                             [list(range(d + 1))])
+
+
+def _hard_rows(mesh, rng, count=40):
+    """Random splines with near-zero values, ties and vanishing faces."""
+    rows = rng.uniform(-1.0, 1.0, (count, mesh.n_vertices))
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    tiny = rng.random(rows.shape) < 0.2
+    rows[tiny] = rng.uniform(-1e-14, 1e-14, tiny.sum()) * np.broadcast_to(scale, rows.shape)[tiny]
+    for row in rows[::3]:  # coincident values at the vertices of one simplex
+        simplex = mesh.simplices[rng.integers(mesh.n_simplices)]
+        row[simplex[1:]] = row[simplex[0]]
+    for row in rows[1::3]:  # zero on a whole face of one simplex
+        simplex = mesh.simplices[rng.integers(mesh.n_simplices)]
+        row[simplex[:-1]] = 0.0
+    return rows
+
+
+class TestBatchedAgainstRecursion:
+    @pytest.mark.parametrize("mesh", list(_batch_meshes()),
+                             ids=lambda m: f"d{m.dim}-m{m.n_simplices}")
+    def test_random_rows(self, mesh):
+        rng = np.random.default_rng(mesh.n_simplices)
+        rows = _hard_rows(mesh, rng)
+        batched = projection._abs_integrals(mesh, rows)
+        for row, total in zip(rows, batched):
+            expected = oracles.recursive_abs_integral(mesh, row)
+            assert total == pytest.approx(expected, rel=BATCH_RTOL)
+            assert spline_abs_integral(mesh, row) == pytest.approx(expected, rel=BATCH_RTOL)
+
+    @pytest.mark.parametrize("mesh", list(_batch_meshes())[:5],
+                             ids=lambda m: f"d{m.dim}-m{m.n_simplices}")
+    def test_dual_rows_across_blocks(self, mesh, monkeypatch):
+        # blocks of one row, of a few rows, and of every row at once
+        psi = dual_basis(mesh)
+        expected = [oracles.recursive_abs_integral(mesh, row) for row in psi]
+        values_per_row = mesh.n_simplices * (mesh.dim + 1)
+        for block in (1, 3 * values_per_row, len(psi) * values_per_row):
+            monkeypatch.setattr(projection, "_BLOCK_VALUES", block)
+            assert projection._abs_integrals(mesh, psi) == pytest.approx(
+                expected, rel=BATCH_RTOL)
+        assert exact_operator_norm(mesh)[0] == pytest.approx(max(expected), rel=BATCH_RTOL)
+
+    def test_values_at_the_sign_threshold(self):
+        # +-1e-14 of the scale is zero; just above it the simplex is split
+        mesh = unit_triangle()
+        for values in ([1.0, -1e-14, 0.5], [1.0, -1.5e-14, 0.5], [-1.0, 1e-14, -1e-14],
+                       [2.0, 2.0, -2.0], [0.0, 0.0, -3.0], [1e-300, -1e-300, 0.0]):
+            assert spline_abs_integral(mesh, values) == pytest.approx(
+                oracles.recursive_abs_integral(mesh, values), rel=BATCH_RTOL)
+
+
 class TestExactOperatorNorm:
     def test_single_segment_norm(self):
         # dual at either endpoint of one segment has integral of |psi| = 5/3;
-        # the two candidates agree to the last ulp only, so either id may win
+        # the two tie, and ties go to the smallest vertex id
         mesh = build_interval_partition([0.0, 1.0])
         norm, witness = exact_operator_norm(mesh)
         assert norm == pytest.approx(5 / 3, rel=1e-12)
-        assert witness in (0, 1)
+        assert witness == 0
+
+    def test_witness_is_smallest_of_symmetric_ties(self):
+        # on the 8 x 8 grid the duals at (3/8, 0) and its seven images under
+        # the square's symmetries tie up to roundoff; vertex 3 is the first
+        mesh = build_uniform_square(8)
+        norm, witness = exact_operator_norm(mesh)
+        totals = [spline_abs_integral(mesh, row) for row in dual_basis(mesh)]
+        assert norm == pytest.approx(max(totals), rel=1e-13)
+        assert witness == 3
+        assert totals[witness] == pytest.approx(norm, rel=1e-12)
+        assert all(t < norm * (1 - 1e-12) for t in totals[:witness])
 
     def test_uniform_intervals_stay_bounded(self):
         mesh = build_interval_partition(np.linspace(0.0, 1.0, 25))
@@ -325,22 +404,26 @@ class TestNormBounds:
         assert norm <= bound * (1 + 1e-12) + 1e-12
 
 
+def _coupling_check(mesh):
+    return proposition1_check(mesh, exact_operator_norm(mesh)[0])
+
+
 class TestCouplingBound:
     def test_smallest_square_mesh(self):
-        result = proposition1_check(build_uniform_square(1))
+        result = _coupling_check(build_uniform_square(1))
         assert result.c0 == pytest.approx(0.25, rel=1e-14)
         assert result.bound == pytest.approx(24.0, rel=1e-12)
         assert result.satisfied
 
     def test_coupling_stabilizes_on_refinement(self):
-        r5 = proposition1_check(build_uniform_square(5))
-        r6 = proposition1_check(build_uniform_square(6))
+        r5 = _coupling_check(build_uniform_square(5))
+        r6 = _coupling_check(build_uniform_square(6))
         assert r5.c0 == pytest.approx(r6.c0, rel=1e-14)
         assert r5.c0 == pytest.approx(0.125, rel=1e-14)
 
     def test_shrinking_squares_satisfy_but_blow_up(self):
-        loose = proposition1_check(build_counterexample_2d(2, 0.3))
-        tight = proposition1_check(build_counterexample_2d(2, 0.01))
+        loose = _coupling_check(build_counterexample_2d(2, 0.3))
+        tight = _coupling_check(build_counterexample_2d(2, 0.01))
         assert loose.satisfied and tight.satisfied
         # the coupling degenerates with t, so the bound explodes
         assert tight.c0 < loose.c0
@@ -348,7 +431,13 @@ class TestCouplingBound:
 
     def test_requires_2d(self):
         with pytest.raises(UnsupportedDimension):
-            proposition1_check(build_interval_partition([0.0, 1.0]))
+            proposition1_check(build_interval_partition([0.0, 1.0]), 5 / 3)
+
+    def test_reports_the_norm_it_is_given(self):
+        mesh = build_uniform_square(2)
+        norm, _ = exact_operator_norm(mesh)
+        assert proposition1_check(mesh, norm).exact_norm == norm
+        assert not proposition1_check(mesh, 1e6).satisfied
 
 
 class TestReport:
