@@ -46,6 +46,7 @@ from .mesh import (
 from .projection import (
     CellwiseConstant,
     NormalizedSystem,
+    OperatorNorm,
     ProjectionReport,
     Proposition1Result,
     SplineFunction,
@@ -54,7 +55,6 @@ from .projection import (
     dual_basis,
     exact_operator_norm,
     inverse_infinity_norm_bound,
-    normalized_matrix,
     normalized_system,
     project,
     proposition1_check,

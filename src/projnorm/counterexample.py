@@ -19,6 +19,7 @@ from .errors import InvalidParameter, NotEquivariant
 from .mesh import (
     build_counterexample_2d,
     build_pyramid_partition,
+    check_integer,
     symmetry_generators,
     symmetry_orbits,
     vertex_roles,
@@ -26,7 +27,6 @@ from .mesh import (
 from .projection import (
     CellwiseConstant,
     exact_operator_norm,
-    inverse_infinity_norm_bound,
     normalized_system,
     project,
 )
@@ -128,8 +128,7 @@ def limit_system_2d(J):
     Row 0 reads (3/2) x_0 + (1/2) x_1 = -2; row j (j = 1..J+1) reads
     x_{j-1} + x_j = 2 (-1)^j.
     """
-    if not isinstance(J, (int, np.integer)) or isinstance(J, bool) or J < 1:
-        raise InvalidParameter(f"J must be an integer >= 1, got {J!r}")
+    check_integer(J, 1, f"J must be an integer >= 1, got {J!r}")
     k = J + 2
     A = np.zeros((k, k))
     b = np.zeros(k)
@@ -146,8 +145,7 @@ def limit_system_2d(J):
 def limit_solution_2d(J):
     """Closed form x_j = (-1)^j (2j - 1), hence x_0 = x_1 = -1 and
     sup norm 2J + 1 at the center entry."""
-    if not isinstance(J, (int, np.integer)) or isinstance(J, bool) or J < 1:
-        raise InvalidParameter(f"J must be an integer >= 1, got {J!r}")
+    check_integer(J, 1, f"J must be an integer >= 1, got {J!r}")
     j = np.arange(J + 2)
     return (-1.0) ** j * (2 * j - 1)
 
@@ -159,10 +157,8 @@ def limit_system_pyramid(J, d):
     ((d-2)/2) x' = -(d+2)/2; rows j = 1..J+1: x_{j-1} + x_j + ((d-2)/2) x'
     = (-1)^j (d+2)/2; apex row: x_0 + (1/2) x_1 + (1 + (d-3)/2) x' = -(d+2)/2.
     """
-    if not isinstance(J, (int, np.integer)) or isinstance(J, bool) or J < 1:
-        raise InvalidParameter(f"J must be an integer >= 1, got {J!r}")
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 3:
-        raise InvalidParameter(f"pyramid limit systems need d >= 3, got {d!r}")
+    check_integer(J, 1, f"J must be an integer >= 1, got {J!r}")
+    check_integer(d, 3, f"pyramid limit systems need d >= 3, got {d!r}")
     k = J + 3
     A = np.zeros((k, k))
     b = np.zeros(k)
@@ -226,7 +222,7 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
     """Project the oscillating witness for each J and record the sup norms.
 
     With with_norms=True the exact operator norm and the inverse-based bound
-    are recorded as well (slower: one dense inverse per mesh).
+    are recorded as well (slower: one dense dual basis per mesh).
     """
     if d < 2:
         raise InvalidParameter(f"growth sweeps are defined for d >= 2, got {d!r}")
@@ -237,12 +233,10 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
             mesh = build_counterexample_2d(J, float(t))
         else:
             mesh = build_pyramid_partition(J, float(t), d)
-        f = oscillating_data(mesh)
-        g = project(mesh, f)
+        g = project(mesh, oscillating_data(mesh))
         rec = SweepRecord(J=J, t=float(t), d=d, sup_norm=g.sup_norm)
         if with_norms:
-            rec.exact_operator_norm = exact_operator_norm(mesh)[0]
-            rec.ainv_bound = inverse_infinity_norm_bound(normalized_system(mesh, f))
+            rec.exact_operator_norm, _, rec.ainv_bound = exact_operator_norm(mesh)
         records.append(rec)
     return records
 

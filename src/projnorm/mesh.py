@@ -191,9 +191,14 @@ def simplex_volume(mesh, simplex):
 # partition family constructors
 
 
+def check_integer(x, low, message):
+    """Raise InvalidParameter(message) unless x is an int or numpy integer >= low."""
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool) or x < low:
+        raise InvalidParameter(message)
+
+
 def _check_ring_parameters(J, t):
-    if not isinstance(J, (int, np.integer)) or isinstance(J, bool) or J < 1:
-        raise InvalidParameter(f"J must be an integer >= 1, got {J!r}")
+    check_integer(J, 1, f"J must be an integer >= 1, got {J!r}")
     t = float(t)
     if not 0.0 < t < 1.0:
         raise InvalidParameter(f"t must satisfy 0 < t < 1, got {t!r}")
@@ -252,8 +257,7 @@ def build_pyramid_partition(J, t, d):
     form one d-simplex, so the simplex count equals the triangle count.  Apex
     vertices are labeled "apex {m}" (m = 3..d).
     """
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 3:
-        raise InvalidParameter(f"pyramid partitions need d >= 3, got {d!r}")
+    check_integer(d, 3, f"pyramid partitions need d >= 3, got {d!r}")
     base = build_counterexample_2d(J, t)
     n_base = base.n_vertices
     vertices = np.zeros((n_base + d - 2, d))
@@ -277,8 +281,7 @@ def build_uniform_square(n):
     which keeps the vertex valences balanced (every interior vertex meets
     either 8 or 4 triangles instead of 6 everywhere).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidParameter(f"n must be an integer >= 1, got {n!r}")
+    check_integer(n, 1, f"n must be an integer >= 1, got {n!r}")
     xs = np.linspace(0.0, 1.0, n + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])

@@ -6,9 +6,10 @@ contribution is V * (1 + delta_ij) / ((d+1)(d+2)) and the load contribution is
 f * V / (d+1), so everything is assembled in closed form; no quadrature is
 involved anywhere in this module.
 
-The normalized system A = D^{-1} M (unit diagonal) drives the operator-norm
-bounds: the sup norm of the projector equals the largest L1 norm of a dual
-function, and is bounded by (d+2)/2 times the inf-norm of A^{-1}.
+Every solve goes through one sparse LU factorization of the symmetrically
+scaled S = D^{-1/2} M D^{-1/2} (D the diagonal of M).  The sup norm of the
+projector equals the largest L1 norm of a dual function, a row of M^{-1}; the
+same rows give the bound (d+2)/2 * ||A^{-1}||_inf with A = D^{-1} M.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
 from .errors import (
     InvalidParameter,
@@ -27,7 +28,7 @@ from .errors import (
     UnsupportedDimension,
 )
 
-# Relative residual accepted by solve_with_load before declaring failure.
+# Largest normalized residual (see solve_with_load) a solve may leave.
 RESIDUAL_RTOL = 1e-10
 
 # Sign classification threshold for the exact |linear| integrator: values
@@ -88,7 +89,6 @@ class NormalizedSystem:
 
     A: np.ndarray
     b: np.ndarray
-    dim: int
 
 
 def _cellwise_values(mesh, f):
@@ -131,58 +131,57 @@ def assemble_load(mesh, f):
     return F
 
 
-def normalized_matrix(mesh):
-    """Dense A = D^{-1} M with unit diagonal and nonnegative entries."""
-    M = assemble_mass(mesh).toarray()
-    return M / M.diagonal()[:, None]
-
-
 def normalized_system(mesh, f):
     M = assemble_mass(mesh)
     diag = M.diagonal()
     b = assemble_load(mesh, f) / diag
     A = M.toarray() / diag[:, None]
-    return NormalizedSystem(A=A, b=b, dim=mesh.dim)
+    return NormalizedSystem(A=A, b=b)
 
 
-def _scaled_cholesky(M):
-    # Solve through S = D^{-1/2} M D^{-1/2}: the mass matrices of the shrinking
-    # square meshes have entries spanning dozens of orders of magnitude, and the
-    # symmetric rescaling keeps the factorization well conditioned.
-    dd = M.diagonal()
-    s = 1.0 / np.sqrt(dd)
-    S = M.toarray() * s[:, None] * s[None, :]
+def _scaled_factor(M):
+    # Factor S = D^{-1/2} M D^{-1/2}, not M: the entries of M span dozens of
+    # orders of magnitude on the shrinking-square meshes, while the eigenvalues
+    # of S lie in [1/2, (d+2)/2], so its factorization stays well conditioned.
+    s = 1.0 / np.sqrt(M.diagonal())
+    C = M.tocoo()
+    S = sparse.csc_matrix((C.data * s[C.row] * s[C.col], (C.row, C.col)), shape=M.shape)
     try:
-        factor = scipy.linalg.cho_factor(S, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return splu(S), s
+    except RuntimeError as exc:
         raise SolveFailure(f"mass matrix factorization failed: {exc}") from exc
-    return factor, s
 
 
 def solve_with_load(mesh, load):
-    """Solve M x = load for the nodal values, with a residual check."""
-    M = assemble_mass(mesh)
+    """Solve M x = load; return x and the normalized residual
+    ||D^{-1}(M x - load)||_inf / ||D^{-1} load||_inf, which unlike max|M x - load|
+    sees errors on the tiny inner rows of a graded mesh.  Above RESIDUAL_RTOL
+    the solve raises SolveFailure."""
     load = np.asarray(load, dtype=float)
     if load.shape != (mesh.n_vertices,):
         raise LengthMismatch(
             f"expected one load entry per vertex ({mesh.n_vertices}), got {load.shape}"
         )
-    factor, s = _scaled_cholesky(M)
-    x = s * scipy.linalg.cho_solve(factor, s * load)
-    residual = float(np.abs(M @ x - load).max())
-    fnorm = float(np.abs(load).max())
-    if residual > RESIDUAL_RTOL * fnorm:
+    M = assemble_mass(mesh)
+    lu, s = _scaled_factor(M)
+    x = s * lu.solve(s * load)
+    diag = M.diagonal()
+    error = float(np.abs((M @ x - load) / diag).max())
+    scale = float(np.abs(load / diag).max())
+    residual = error / scale if scale else error
+    # written so that a NaN residual fails and a zero load passes
+    if not error <= RESIDUAL_RTOL * scale:
         raise SolveFailure(
-            f"projection solve left residual {residual:.3e} "
-            f"(allowed {RESIDUAL_RTOL * fnorm:.3e})",
+            f"projection solve left normalized residual {residual:.3e} "
+            f"(allowed {RESIDUAL_RTOL:.0e})",
             residual=residual,
         )
-    return x
+    return x, residual
 
 
 def project(mesh, f):
     """L2 projection of cellwise-constant data onto the linear splines."""
-    return SplineFunction(solve_with_load(mesh, assemble_load(mesh, f)))
+    return SplineFunction(solve_with_load(mesh, assemble_load(mesh, f))[0])
 
 
 def dual_basis(mesh):
@@ -191,9 +190,8 @@ def dual_basis(mesh):
     Row P is the spline biorthogonal to the hat at vertex P; the exact
     operator norm of the projection is the largest L1 norm among these rows.
     """
-    factor, s = _scaled_cholesky(assemble_mass(mesh))
-    Sinv = scipy.linalg.cho_solve(factor, np.eye(mesh.n_vertices))
-    Minv = Sinv * s[:, None] * s[None, :]
+    lu, s = _scaled_factor(assemble_mass(mesh))
+    Minv = s[:, None] * lu.solve(np.diag(s))
     return (Minv + Minv.T) / 2
 
 
@@ -257,27 +255,34 @@ def spline_abs_integral(mesh, nodal_values):
     return float(_abs_integrals(mesh, nodal[None, :])[0])
 
 
+class OperatorNorm(NamedTuple):
+    norm: float
+    witness: int
+    ainv_bound: float
+
+
 def exact_operator_norm(mesh):
-    """Exact sup-norm operator norm of the projection and its witness vertex.
+    """Exact sup-norm operator norm, its witness vertex and the A^{-1} bound.
 
     The norm equals max_P integral of |psi_P| where psi_P are the dual
     functions.  The witness is the smallest vertex id whose integral is
     within a relative 1e-12 of the norm, so roundoff in the order of the
     summation cannot move it between tied vertices.
     """
-    totals = _abs_integrals(mesh, dual_basis(mesh))
+    dual = dual_basis(mesh)
+    totals = _abs_integrals(mesh, dual)
     best = float(totals.max())
     witness = int(np.argmax(totals >= best * (1.0 - _TIE_RTOL)))
-    return best, witness
+    return OperatorNorm(best, witness, inverse_infinity_norm_bound(mesh, dual))
 
 
-def inverse_infinity_norm_bound(system):
-    """Upper bound (d+2)/2 * ||A^{-1}||_inf for the exact operator norm."""
-    try:
-        inv = np.linalg.inv(system.A)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"normalized matrix is singular: {exc}") from exc
-    return 0.5 * (system.dim + 2) * float(np.abs(inv).sum(axis=1).max())
+def inverse_infinity_norm_bound(mesh, dual):
+    """Upper bound (d+2)/2 * ||A^{-1}||_inf for the exact operator norm.
+
+    dual holds the rows of M^{-1} (dual_basis); since A^{-1} = M^{-1} D,
+    ||A^{-1}||_inf = max_P sum_Q |psi_P(Q)| M_QQ."""
+    diag = assemble_mass(mesh).diagonal()
+    return 0.5 * (mesh.dim + 2) * float((np.abs(dual) @ diag).max())
 
 
 class Proposition1Result(NamedTuple):

@@ -19,7 +19,6 @@ from projnorm import (
     build_pyramid_partition,
     build_uniform_square,
     exact_operator_norm,
-    inverse_infinity_norm_bound,
     limit_solution_2d,
     limit_system_2d,
     limit_system_pyramid,
@@ -167,7 +166,7 @@ def test_criterion_5_interval_norms_bounded_by_3():
     worst = 0.0
     for _ in range(100):
         mesh = build_interval_partition(random_interval_mesh(rng))
-        worst = max(worst, exact_operator_norm(mesh)[0])
+        worst = max(worst, exact_operator_norm(mesh).norm)
     elapsed = time.perf_counter() - start
     ok = worst <= 3.0 + 1e-9 and elapsed < 10.0
     _criterion(
@@ -192,9 +191,7 @@ def test_criterion_6_norm_chain_and_brute_force():
     ]
     chain_ok = True
     for mesh in chain_meshes:
-        norm, _ = exact_operator_norm(mesh)
-        ones = CellwiseConstant(np.ones(mesh.n_simplices))
-        bound = inverse_infinity_norm_bound(normalized_system(mesh, ones))
+        norm, _, bound = exact_operator_norm(mesh)
         if mesh.labels:
             sup = project(mesh, oscillating_data(mesh)).sup_norm
             chain_ok &= sup <= norm + 1e-9
@@ -210,7 +207,7 @@ def test_criterion_6_norm_chain_and_brute_force():
     gap = np.inf
     for mesh in brute_meshes:
         assert mesh.n_simplices <= 12
-        norm, _ = exact_operator_norm(mesh)
+        norm = exact_operator_norm(mesh).norm
         best, _ = brute_force_witness(mesh, assemble_mass(mesh).toarray())
         brute_ok &= best <= norm + 1e-9
         gap = min(gap, norm - best)
@@ -298,7 +295,7 @@ def test_criterion_9_coupling_bound_holds():
     slack = np.inf
     all_ok = True
     for mesh in meshes:
-        result = proposition1_check(mesh, exact_operator_norm(mesh)[0])
+        result = proposition1_check(mesh, exact_operator_norm(mesh).norm)
         all_ok &= result.satisfied
         slack = min(slack, result.bound - result.exact_norm)
     elapsed = time.perf_counter() - start

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -231,7 +233,7 @@ class TestSweeps:
         mesh = build_counterexample_2d(8, 0.01)
         sup = project(mesh, oscillating_data(mesh)).sup_norm
         assert 2 * 8 - 0.1 < sup < 2 * 8
-        assert exact_operator_norm(mesh)[0] >= 2 * 8
+        assert exact_operator_norm(mesh).norm >= 2 * 8
 
     def test_csv_format(self):
         records = growth_sweep([1], 0.3) + convergence_study(1, [0.2])
@@ -244,3 +246,33 @@ class TestSweeps:
         second = lines[2].split(",")
         assert second[5] != ""  # limit_error present
         assert len(second[3].replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+INTEGER_ARGUMENTS = [
+    pytest.param(lambda v: build_counterexample_2d(v, 0.5), 1,
+                 "J must be an integer >= 1", id="counterexample2d-J"),
+    pytest.param(lambda v: build_pyramid_partition(v, 0.5, 3), 1,
+                 "J must be an integer >= 1", id="pyramid-J"),
+    pytest.param(lambda v: build_pyramid_partition(1, 0.5, v), 3,
+                 "pyramid partitions need d >= 3", id="pyramid-d"),
+    pytest.param(build_uniform_square, 1, "n must be an integer >= 1", id="uniform-n"),
+    pytest.param(limit_system_2d, 1, "J must be an integer >= 1", id="limit2d-J"),
+    pytest.param(limit_solution_2d, 1, "J must be an integer >= 1", id="limitsol-J"),
+    pytest.param(lambda v: limit_system_pyramid(v, 3), 1,
+                 "J must be an integer >= 1", id="limitpyr-J"),
+    pytest.param(lambda v: limit_system_pyramid(1, v), 3,
+                 "pyramid limit systems need d >= 3", id="limitpyr-d"),
+]
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "int64", "below"])
+@pytest.mark.parametrize("call,minimum,message", INTEGER_ARGUMENTS)
+def test_integer_parameters(call, minimum, message, kind):
+    value = {"bool": True, "float": float(minimum), "int64": np.int64(minimum),
+             "below": minimum - 1}[kind]
+    if kind == "int64":
+        call(value)
+        return
+    expected = re.escape(f"{message}, got {value!r}")
+    with pytest.raises(InvalidParameter, match=f"^{expected}$"):
+        call(value)

@@ -1,8 +1,10 @@
 import json
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import oracles
 from projnorm import projection
@@ -10,7 +12,6 @@ from projnorm import (
     CellwiseConstant,
     InvalidParameter,
     LengthMismatch,
-    NormalizedSystem,
     ProjectionReport,
     SimplicialMesh,
     SolveFailure,
@@ -24,14 +25,14 @@ from projnorm import (
     build_uniform_square,
     dual_basis,
     exact_operator_norm,
-    inverse_infinity_norm_bound,
     mesh_to_dict,
-    normalized_matrix,
     normalized_system,
+    oscillating_data,
     project,
     proposition1_check,
     solve_with_load,
     spline_abs_integral,
+    vertex_roles,
     vertex_star,
 )
 
@@ -123,7 +124,7 @@ class TestNormalizedSystem:
         ids=lambda m: f"d{m.dim}",
     )
     def test_row_sums_are_half_dimension(self, mesh):
-        A = normalized_matrix(mesh)
+        A = normalized_system(mesh, CellwiseConstant(np.ones(mesh.n_simplices))).A
         assert np.allclose(np.diag(A), 1.0, atol=0)
         off = A.sum(axis=1) - 1.0
         assert np.abs(off - mesh.dim / 2).max() < 1e-13
@@ -160,12 +161,38 @@ class TestProjection:
         mesh = build_counterexample_2d(3, 0.1)
         rng = np.random.default_rng(8)
         g = rng.uniform(-2, 2, mesh.n_vertices)
-        x = solve_with_load(mesh, assemble_mass(mesh) @ g)
+        x, residual = solve_with_load(mesh, assemble_mass(mesh) @ g)
         assert np.abs(x - g).max() < 1e-9 * np.abs(g).max()
+        assert residual <= projection.RESIDUAL_RTOL
+
+    def test_zero_load_passes_the_residual_gate(self):
+        mesh = build_counterexample_2d(3, 0.1)
+        x, residual = solve_with_load(mesh, np.zeros(mesh.n_vertices))
+        assert not x.any() and residual == 0.0
+
+    def test_singular_factorization_is_a_solve_failure(self):
+        with pytest.raises(SolveFailure, match="factorization failed"):
+            projection._scaled_factor(scipy.sparse.csr_matrix(np.ones((2, 2))))
+
+    def test_residual_gate_sees_inner_rings(self, monkeypatch):
+        # a wrong solution that is 22% too large on the innermost ring and the
+        # center leaves max|M x - F| at roundoff level, because those rows of M
+        # are about t^(2J) times the outer ones; the normalized residual is 1.55
+        mesh = build_counterexample_2d(8, 0.01)
+        ring = vertex_roles(mesh)[0]
+        weight = np.where(ring >= 8, 1.22, 1.0)
+        factor = projection._scaled_factor
+
+        def perturbed(M):
+            lu, s = factor(M)
+            return types.SimpleNamespace(solve=lambda b: lu.solve(b) * weight), s
+
+        monkeypatch.setattr(projection, "_scaled_factor", perturbed)
+        with pytest.raises(SolveFailure) as caught:
+            project(mesh, oscillating_data(mesh))
+        assert caught.value.residual > 1.0
 
     def test_matches_dense_quadrature_solve(self):
-        from projnorm import oscillating_data
-
         mesh = build_counterexample_2d(1, 0.3)
         f = oscillating_data(mesh)
         x = project(mesh, f).nodal_values
@@ -322,7 +349,7 @@ class TestBatchedAgainstRecursion:
             monkeypatch.setattr(projection, "_BLOCK_VALUES", block)
             assert projection._abs_integrals(mesh, psi) == pytest.approx(
                 expected, rel=BATCH_RTOL)
-        assert exact_operator_norm(mesh)[0] == pytest.approx(max(expected), rel=BATCH_RTOL)
+        assert exact_operator_norm(mesh).norm == pytest.approx(max(expected), rel=BATCH_RTOL)
 
     def test_values_at_the_sign_threshold(self):
         # +-1e-14 of the scale is zero; just above it the simplex is split
@@ -338,7 +365,7 @@ class TestExactOperatorNorm:
         # dual at either endpoint of one segment has integral of |psi| = 5/3;
         # the two tie, and ties go to the smallest vertex id
         mesh = build_interval_partition([0.0, 1.0])
-        norm, witness = exact_operator_norm(mesh)
+        norm, witness, _ = exact_operator_norm(mesh)
         assert norm == pytest.approx(5 / 3, rel=1e-12)
         assert witness == 0
 
@@ -346,7 +373,7 @@ class TestExactOperatorNorm:
         # on the 8 x 8 grid the duals at (3/8, 0) and its seven images under
         # the square's symmetries tie up to roundoff; vertex 3 is the first
         mesh = build_uniform_square(8)
-        norm, witness = exact_operator_norm(mesh)
+        norm, witness, _ = exact_operator_norm(mesh)
         totals = [spline_abs_integral(mesh, row) for row in dual_basis(mesh)]
         assert norm == pytest.approx(max(totals), rel=1e-13)
         assert witness == 3
@@ -355,12 +382,12 @@ class TestExactOperatorNorm:
 
     def test_uniform_intervals_stay_bounded(self):
         mesh = build_interval_partition(np.linspace(0.0, 1.0, 25))
-        norm, _ = exact_operator_norm(mesh)
+        norm = exact_operator_norm(mesh).norm
         assert norm <= 3.0 + 1e-9
 
     def test_norm_grows_on_shrinking_squares(self):
         mesh = build_counterexample_2d(3, 0.01)
-        norm, _ = exact_operator_norm(mesh)
+        norm = exact_operator_norm(mesh).norm
         assert norm >= 6.0
 
     def test_matches_subdivision_oracle(self):
@@ -368,7 +395,7 @@ class TestExactOperatorNorm:
         # the center (whose dual has the smaller integral 19/8); note it
         # already exceeds the 1D bound 3
         mesh = build_uniform_square(2)
-        norm, witness = exact_operator_norm(mesh)
+        norm, witness, _ = exact_operator_norm(mesh)
         psi = dual_basis(mesh)
         approx = oracles.subdivision_abs_integral(mesh, psi[witness], k=512)
         assert norm == pytest.approx(approx, rel=1e-5)
@@ -378,14 +405,22 @@ class TestExactOperatorNorm:
 
 
 class TestNormBounds:
-    def test_one_vertex_system(self):
-        system = NormalizedSystem(A=np.eye(1), b=np.ones(1), dim=2)
-        assert inverse_infinity_norm_bound(system) == pytest.approx(2.0, rel=1e-15)
-
-    def test_singular_system(self):
-        system = NormalizedSystem(A=np.ones((2, 2)), b=np.zeros(2), dim=2)
-        with pytest.raises(SolveFailure):
-            inverse_infinity_norm_bound(system)
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            build_counterexample_2d(1, 0.3),
+            build_counterexample_2d(3, 0.1),
+            build_counterexample_2d(5, 0.01),
+            build_pyramid_partition(2, 0.1, 3),
+            build_pyramid_partition(1, 0.3, 4),
+            build_uniform_square(3),
+            build_interval_partition([0.0, 1.0, 1.5, 4.0]),
+        ],
+        ids=lambda m: f"d{m.dim}v{m.n_vertices}",
+    )
+    def test_bound_matches_dense_inverse_oracle(self, mesh):
+        expected = oracles.inverse_norm_bound(mesh, oracles.quadrature_mass_matrix(mesh))
+        assert exact_operator_norm(mesh).ainv_bound == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "mesh",
@@ -398,14 +433,12 @@ class TestNormBounds:
         ids=lambda m: f"d{m.dim}",
     )
     def test_exact_norm_below_inverse_bound(self, mesh):
-        norm, _ = exact_operator_norm(mesh)
-        ones = CellwiseConstant(np.ones(mesh.n_simplices))
-        bound = inverse_infinity_norm_bound(normalized_system(mesh, ones))
+        norm, _, bound = exact_operator_norm(mesh)
         assert norm <= bound * (1 + 1e-12) + 1e-12
 
 
 def _coupling_check(mesh):
-    return proposition1_check(mesh, exact_operator_norm(mesh)[0])
+    return proposition1_check(mesh, exact_operator_norm(mesh).norm)
 
 
 class TestCouplingBound:
@@ -435,7 +468,7 @@ class TestCouplingBound:
 
     def test_reports_the_norm_it_is_given(self):
         mesh = build_uniform_square(2)
-        norm, _ = exact_operator_norm(mesh)
+        norm = exact_operator_norm(mesh).norm
         assert proposition1_check(mesh, norm).exact_norm == norm
         assert not proposition1_check(mesh, 1e6).satisfied
 
