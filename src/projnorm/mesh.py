@@ -7,7 +7,11 @@ are pure functions of their arguments.
 
 Besides generic helpers (volumes, stars, angle statistics, conformity
 validation, symmetry orbits) the module provides the partition families used
-throughout the package:
+throughout the package.  Conformity validation is numpy passes over blocks of
+bounding-box candidates: face owner counts, hanging nodes by batched
+barycentric solves, and, for simplex pairs sharing fewer than d vertices, an
+exact separating-hyperplane test over the facet normals of P - Q.  The
+families are:
 
 * ``build_counterexample_2d`` -- a square triangulated along a geometric
   sequence of shrinking concentric squares ("rings"),
@@ -19,6 +23,7 @@ throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import types
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateSimplex,
@@ -50,6 +54,14 @@ _UNDERFLOW_LIMIT = 1e-250
 # Square corners in clockwise order (y axis pointing up): corner i of ring j
 # sits at t**j times this.
 _CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
+
+# Conformity slack: boxes, barycentric coordinates and separating gaps within
+# this fraction of the simplex's (or the pair's) extent count as touching.
+_TOUCH_RTOL = 1e-12
+
+# Most array elements one blocked pass of validate_conformity holds at once,
+# so its memory is O(block * m), not O(m**2).
+_BLOCK_ELEMENTS = 2**18
 
 
 def _volumes(vertices, simplices):
@@ -146,11 +158,10 @@ class SimplicialMesh:
     @cached_property
     def vertex_to_simplices(self):
         """List mapping each vertex id to the array of incident simplex ids."""
-        buckets = [[] for _ in range(self.n_vertices)]
-        for s, row in enumerate(self.simplices):
-            for v in row:
-                buckets[v].append(s)
-        return [np.array(b, dtype=np.int64) for b in buckets]
+        flat = self.simplices.ravel()
+        owners = np.argsort(flat, kind="stable") // (self.dim + 1)
+        counts = np.bincount(flat, minlength=self.n_vertices)
+        return np.split(owners, np.cumsum(counts)[:-1])
 
     def __repr__(self):
         return (
@@ -360,59 +371,69 @@ def angle_stats(mesh):
 # conformity validation
 
 
-def _barycentric(coords, point):
-    # coords: (d+1, d) simplex corners, point: (d,)
-    T = (coords[1:] - coords[0]).T
-    lam = np.linalg.solve(T, point - coords[0])
-    return np.concatenate([[1.0 - lam.sum()], lam])
+def _row_blocks(n_rows, row_size):
+    """Slices of at most _BLOCK_ELEMENTS // row_size rows (at least one)."""
+    step = max(1, _BLOCK_ELEMENTS // row_size)
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
-def _interiors_overlap(c1, c2):
-    """LP feasibility test: do two simplices share an interior point?
+def _candidate_edges(d):
+    """Tail and head indices of the d-1 edges spanning each candidate normal.
 
-    Maximizes the smallest barycentric coordinate t over common points; the
-    interiors intersect iff the optimum is positive.  Coordinates are
-    recentered and rescaled so the threshold 1e-9 is scale-free.
+    Indices refer to the 2(d+1) stacked vertices of a pair, P's then Q's.
+    For a = 0..d-1, a candidate joins the a edges of an a-face of P at its
+    first vertex with the d-1-a edges of a (d-1-a)-face of Q, so every facet
+    normal of P - Q is among the cross products.
     """
-    d = c1.shape[1]
-    nv = d + 1
-    shift = (c1.mean(axis=0) + c2.mean(axis=0)) / 2
-    scale = max(np.abs(c1 - shift).max(), np.abs(c2 - shift).max(), 1e-30)
-    a = (c1 - shift) / scale
-    b = (c2 - shift) / scale
-
-    # variables: lambda (nv), mu (nv), t
-    n_var = 2 * nv + 1
-    A_eq = np.zeros((d + 2, n_var))
-    A_eq[:d, :nv] = a.T
-    A_eq[:d, nv : 2 * nv] = -b.T
-    A_eq[d, :nv] = 1.0
-    A_eq[d + 1, nv : 2 * nv] = 1.0
-    b_eq = np.zeros(d + 2)
-    b_eq[d] = 1.0
-    b_eq[d + 1] = 1.0
-    # lambda_i >= t and mu_i >= t
-    A_ub = np.zeros((2 * nv, n_var))
-    A_ub[:nv, :nv] = -np.eye(nv)
-    A_ub[nv:, nv : 2 * nv] = -np.eye(nv)
-    A_ub[:, -1] = 1.0
-    cost = np.zeros(n_var)
-    cost[-1] = -1.0
-    bounds = [(0.0, 1.0)] * (2 * nv) + [(0.0, 1.0)]
-    res = linprog(
-        cost, A_ub=A_ub, b_ub=np.zeros(2 * nv), A_eq=A_eq, b_eq=b_eq, bounds=bounds
-    )
-    if res.status != 0:
-        # infeasible means the closed simplices are disjoint
-        return False
-    return float(res.x[-1]) > 1e-9
+    tails, heads = [], []
+    for a in range(d):
+        p_faces = itertools.combinations(range(d + 1), a + 1) if a else [(0,)]
+        q_faces = (itertools.combinations(range(d + 1, 2 * d + 2), d - a)
+                   if a < d - 1 else [(d + 1,)])
+        for fp, fq in itertools.product(p_faces, q_faces):
+            tails.append([fp[0]] * a + [fq[0]] * (d - 1 - a))
+            heads.append(list(fp[1:]) + list(fq[1:]))
+    shape = (len(tails), d - 1)
+    return (np.array(tails, dtype=np.intp).reshape(shape),
+            np.array(heads, dtype=np.intp).reshape(shape))
 
 
-def _face_side_sign(face_coords, point):
-    # orientation of (face, point); face order must be identical for both calls
-    edges = np.vstack([face_coords[1:] - face_coords[0], point - face_coords[0]])
-    det = float(np.linalg.det(edges))
-    return 0.0 if det == 0 else math.copysign(1.0, det)
+def _interiors_overlap(P, Q):
+    """Which simplex pairs (P[k], Q[k]), each (K, d+1, d), share interior points.
+
+    Two simplices have disjoint interiors iff some hyperplane weakly separates
+    their vertex sets, and it suffices to try the facet normals of P - Q: the
+    generalized cross products of _candidate_edges.  Coordinates are shifted
+    to each pair's box center, edges are scaled to unit length, and a gap
+    within _TOUCH_RTOL of the pair's extent times |n| counts as touching.
+    """
+    K, _, d = P.shape
+    tails, heads = _candidate_edges(d)
+    minors = [[c for c in range(d) if c != k] for k in range(d)]
+    signs = (-1.0) ** np.arange(d)
+    overlap = np.empty(K, dtype=bool)
+    # per pair: the cofactor minors and the projections of both vertex sets
+    for rows in _row_blocks(K, tails.size * d * d + len(tails) * 2 * (d + 1)):
+        V = np.concatenate([P[rows], Q[rows]], axis=1)
+        lo, hi = V.min(axis=1), V.max(axis=1)
+        V = V - ((lo + hi) / 2)[:, None, :]
+        E = V[:, heads] - V[:, tails]                        # (k, c, d-1, d)
+        E /= np.linalg.norm(E, axis=-1, keepdims=True)
+        cofactors = np.moveaxis(E[..., minors], -2, -3)      # (k, c, d, d-1, d-1)
+        normals = signs * np.linalg.det(cofactors)           # (k, c, d)
+        size = np.linalg.norm(normals, axis=-1)
+        proj = np.einsum("kvx,kcx->kcv", V, normals)
+        p, q = proj[..., : d + 1], proj[..., d + 1 :]
+        gap = np.maximum(p.min(axis=-1) - q.max(axis=-1), q.min(axis=-1) - p.max(axis=-1))
+        slack = _TOUCH_RTOL * (hi - lo).max(axis=1)[:, None] * size
+        overlap[rows] = ~((gap >= -slack) & (size > 0)).any(axis=1)
+    return overlap
+
+
+def _face_sides(face, point):
+    """Sign of det[face[1:] - face[0]; point - face[0]] per row; face is (K, d, d)."""
+    edges = np.concatenate([face[:, 1:], point[:, None]], axis=1) - face[:, :1]
+    return np.sign(np.linalg.det(edges))
 
 
 def validate_conformity(mesh):
@@ -421,71 +442,85 @@ def validate_conformity(mesh):
     Returns a list of human-readable violations (empty for a conforming
     mesh): boundary faces shared by more than two simplices, vertices lying
     inside or on a simplex they do not belong to (hanging nodes), duplicate
-    or folded simplex pairs, and pairs with overlapping interiors.
+    or folded simplex pairs, and pairs with overlapping interiors.  Pairs of
+    simplices are candidates only when their bounding boxes meet; pairs that
+    share fewer than d vertices go through an exact separating-hyperplane
+    test.  Memory stays O(block * m): boxes are compared in row blocks.
     """
     violations = []
     d = mesh.dim
     simplices = mesh.simplices
     verts = mesh.vertices
+    m, n = mesh.n_simplices, mesh.n_vertices
 
-    face_owners = defaultdict(list)
-    for s, row in enumerate(simplices):
-        for k in range(d + 1):
-            face = frozenset(np.delete(row, k).tolist())
-            face_owners[face].append(s)
-    for face, owners in sorted(face_owners.items(), key=lambda kv: sorted(kv[0])):
-        if len(owners) > 2:
-            violations.append(
-                f"face {tuple(sorted(face))} is shared by {len(owners)} simplices"
-            )
+    ids = np.sort(simplices, axis=1)
+    faces = np.concatenate([np.delete(ids, k, axis=1) for k in range(d + 1)])
+    faces, owners = np.unique(faces, axis=0, return_counts=True)
+    for face, count in zip(faces[owners > 2].tolist(), owners[owners > 2].tolist()):
+        violations.append(f"face {tuple(face)} is shared by {count} simplices")
 
     # hanging nodes: a vertex inside the closed simplex of a foreign element
-    mins = verts[simplices].min(axis=1)
-    maxs = verts[simplices].max(axis=1)
+    corners = verts[simplices]
+    mins = corners.min(axis=1)
+    maxs = corners.max(axis=1)
     extent = np.maximum(maxs - mins, 1e-30)
-    for s, row in enumerate(simplices):
-        own = set(row.tolist())
-        lo = mins[s] - 1e-12 * extent[s]
-        hi = maxs[s] + 1e-12 * extent[s]
-        inside_box = np.flatnonzero(
-            ((verts >= lo) & (verts <= hi)).all(axis=1)
-        )
-        for v in inside_box:
-            if int(v) in own:
-                continue
-            lam = _barycentric(verts[row], verts[v])
-            if (lam >= -1e-12).all():
-                violations.append(
-                    f"vertex {int(v)} lies on simplex {s} without being one of its vertices"
-                )
+    slack = _TOUCH_RTOL * extent
+    lo = mins - slack
+    hi = maxs + slack
+    hits = []
+    for rows in _row_blocks(m, n * d):
+        inside = np.ones((rows.stop - rows.start, n), dtype=bool)
+        for x in range(d):
+            inside &= (verts[:, x] >= lo[rows, None, x]) & (verts[:, x] <= hi[rows, None, x])
+        s, v = np.nonzero(inside)
+        hits.append((s + rows.start, v))
+    s, v = (np.concatenate(a) for a in zip(*hits))
+    foreign = ~(simplices[s] == v[:, None]).any(axis=1)
+    s, v = s[foreign], v[foreign]
+    origin = corners[s, 0]
+    T = (corners[s, 1:] - origin[:, None]).transpose(0, 2, 1)
+    lam = np.linalg.solve(T, (verts[v] - origin)[..., None])[..., 0]
+    lam = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
+    for a, b in zip(*(x[(lam >= -_TOUCH_RTOL).all(axis=1)].tolist() for x in (s, v))):
+        violations.append(f"vertex {b} lies on simplex {a} without being one of its vertices")
 
-    # pairwise checks on bounding-box colliding pairs
-    m = mesh.n_simplices
-    vertex_sets = [set(row.tolist()) for row in simplices]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (mins[i] > maxs[j] + 1e-12 * extent[i]).any() or (
-                mins[j] > maxs[i] + 1e-12 * extent[j]
-            ).any():
-                continue
-            shared = vertex_sets[i] & vertex_sets[j]
-            if len(shared) == d + 1:
-                violations.append(f"simplices {i} and {j} are identical")
-            elif len(shared) == d:
-                face = sorted(shared)
-                pi = next(iter(vertex_sets[i] - shared))
-                pj = next(iter(vertex_sets[j] - shared))
-                si = _face_side_sign(verts[face], verts[pi])
-                sj = _face_side_sign(verts[face], verts[pj])
-                if si * sj >= 0:
-                    violations.append(
-                        f"simplices {i} and {j} fold onto the same side of their shared face"
-                    )
-            else:
-                if _interiors_overlap(verts[simplices[i]], verts[simplices[j]]):
-                    violations.append(
-                        f"simplices {i} and {j} have overlapping interiors"
-                    )
+    # pairwise checks on bounding-box colliding pairs i < j
+    pairs = []
+    for rows in _row_blocks(m, m * d):
+        rest = slice(rows.start, m)
+        meet = np.ones((rows.stop - rows.start, m - rows.start), dtype=bool)
+        for x in range(d):
+            meet &= mins[rows, None, x] <= maxs[rest, x] + slack[rows, None, x]
+            meet &= mins[rest, x] <= maxs[rows, None, x] + slack[rest, x]
+        i, j = np.nonzero(meet)
+        keep = j > i
+        pairs.append((i[keep] + rows.start, j[keep] + rows.start))
+    i, j = (np.concatenate(a) for a in zip(*pairs))
+    same = simplices[i][:, :, None] == simplices[j][:, None, :]   # (K, d+1, d+1)
+    in_j, in_i = same.any(axis=2), same.any(axis=1)
+    shared = in_j.sum(axis=1)
+    kind = np.zeros(len(i), dtype=np.int8)
+    kind[shared == d + 1] = 1
+
+    fold = shared == d
+    common = verts[np.sort(simplices[i[fold]][in_j[fold]].reshape(-1, d), axis=1)]
+    lone_i = verts[simplices[i[fold]][~in_j[fold]]]
+    lone_j = verts[simplices[j[fold]][~in_i[fold]]]
+    sides = _face_sides(common, lone_i) * _face_sides(common, lone_j)
+    kind[np.flatnonzero(fold)[sides >= 0]] = 2
+
+    other = np.flatnonzero(shared < d)
+    kind[other[_interiors_overlap(corners[i[other]], corners[j[other]])]] = 3
+
+    messages = (
+        None,
+        "simplices {} and {} are identical",
+        "simplices {} and {} fold onto the same side of their shared face",
+        "simplices {} and {} have overlapping interiors",
+    )
+    flagged = kind > 0
+    for a, b, k in zip(i[flagged].tolist(), j[flagged].tolist(), kind[flagged].tolist()):
+        violations.append(messages[k].format(a, b))
     return violations
 
 
@@ -670,10 +705,18 @@ def mesh_from_dict(data):
     try:
         dim = int(data["dim"])
         vertices = np.asarray(data["vertices"], dtype=float)
-        simplices = np.asarray(data["simplices"], dtype=np.int64)
-        labels = {int(k): str(v) for k, v in data.get("labels", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        simplices = np.asarray(data["simplices"])
+        bools = any(type(v) is bool for row in data["simplices"] for v in row)
+        labels = data.get("labels", {})
+        if isinstance(labels, dict):
+            labels = {int(k): str(v) for k, v in labels.items()}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed mesh data: {exc}") from exc
+    if not isinstance(labels, dict):
+        raise InvalidParameter("mesh data: labels must be an object")
+    # JSON floats (1e30, 2.7) and booleans are not vertex ids
+    if simplices.size and (simplices.dtype.kind != "i" or bools):
+        raise InvalidParameter("mesh data: simplex ids must be integers")
     if vertices.ndim != 2 or vertices.shape[1] != dim:
         raise InvalidParameter("mesh data: vertices do not match the declared dim")
     return SimplicialMesh(vertices, simplices, labels)

@@ -5,14 +5,16 @@ mass matrices and loads are integrated with a tensor Gauss-Legendre rule
 mapped onto the simplex (Duffy transform), absolute integrals of splines are
 approximated by centroid rules on fine self-similar subdivisions or computed
 simplex by simplex with a scalar recursion, witness norms are found by
-brute force over all cellwise sign patterns, and the inverse-norm bound comes
-from an explicit dense inverse.
+brute force over all cellwise sign patterns, the inverse-norm bound comes
+from an explicit dense inverse, and overlapping simplex interiors are found
+by one linear program per pair.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def simplex_quadrature(d, n=8):
@@ -178,6 +180,47 @@ def inverse_norm_bound(mesh, mass_dense):
     """(d+2)/2 * ||A^{-1}||_inf from an explicit inverse of A = D^{-1} M."""
     A = mass_dense / np.diag(mass_dense)[:, None]
     return 0.5 * (mesh.dim + 2) * float(np.abs(np.linalg.inv(A)).sum(axis=1).max())
+
+
+def lp_interiors_overlap(c1, c2):
+    """LP feasibility test: do two simplices share an interior point?
+
+    Maximizes the smallest barycentric coordinate t over common points; the
+    interiors intersect iff the optimum is positive.  Coordinates are
+    recentered and rescaled so the threshold 1e-9 is scale-free.
+    """
+    d = c1.shape[1]
+    nv = d + 1
+    shift = (c1.mean(axis=0) + c2.mean(axis=0)) / 2
+    scale = max(np.abs(c1 - shift).max(), np.abs(c2 - shift).max(), 1e-30)
+    a = (c1 - shift) / scale
+    b = (c2 - shift) / scale
+
+    # variables: lambda (nv), mu (nv), t
+    n_var = 2 * nv + 1
+    A_eq = np.zeros((d + 2, n_var))
+    A_eq[:d, :nv] = a.T
+    A_eq[:d, nv : 2 * nv] = -b.T
+    A_eq[d, :nv] = 1.0
+    A_eq[d + 1, nv : 2 * nv] = 1.0
+    b_eq = np.zeros(d + 2)
+    b_eq[d] = 1.0
+    b_eq[d + 1] = 1.0
+    # lambda_i >= t and mu_i >= t
+    A_ub = np.zeros((2 * nv, n_var))
+    A_ub[:nv, :nv] = -np.eye(nv)
+    A_ub[nv:, nv : 2 * nv] = -np.eye(nv)
+    A_ub[:, -1] = 1.0
+    cost = np.zeros(n_var)
+    cost[-1] = -1.0
+    bounds = [(0.0, 1.0)] * (2 * nv) + [(0.0, 1.0)]
+    res = linprog(
+        cost, A_ub=A_ub, b_ub=np.zeros(2 * nv), A_eq=A_eq, b_eq=b_eq, bounds=bounds
+    )
+    if res.status != 0:
+        # infeasible means the closed simplices are disjoint
+        return False
+    return float(res.x[-1]) > 1e-9
 
 
 def random_interval_mesh(rng, max_segments=50, max_ratio=1e6):

@@ -110,6 +110,29 @@ class TestProjectCommand:
         assert run("project", "--mesh", str(bad), "--oscillating",
                    "-o", str(tmp_path / "r.json")) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("labels", [1]),
+            ("simplices", [[0, 1, 1e30], [0, 3, 2]]),
+            ("simplices", [[0, 1, 2.7], [0, 3, 2]]),
+            ("simplices", [[0, True, 3], [0, 3, 2]]),
+        ],
+        ids=["labels-list", "id-1e30", "id-fractional", "id-bool"],
+    )
+    def test_malformed_mesh_json_exits_2(self, tmp_path, capsys, field, value):
+        mesh_file = tmp_path / "mesh.json"
+        run("mesh", "uniform", "--n", "1", "-o", str(mesh_file))
+        data = json.loads(mesh_file.read_text())
+        data[field] = value
+        mesh_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("project", "--mesh", str(mesh_file), "--values", "1,2",
+                   "-o", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_mesh_file_exits_2(self, tmp_path):
         assert run("project", "--mesh", str(tmp_path / "absent.json"),
                    "--oscillating", "-o", str(tmp_path / "r.json")) == 2

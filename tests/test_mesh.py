@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import lp_interiors_overlap, random_simplex_vertices
 
 from projnorm import (
     DegenerateSimplex,
@@ -298,6 +303,73 @@ class TestConformity:
         mesh = SimplicialMesh([[0.0], [1.0], [0.5], [2.0]], [[0, 1], [2, 3]])
         assert validate_conformity(mesh) != []
 
+    @pytest.mark.parametrize(
+        "mesh",
+        [build_counterexample_2d(20, 0.01), build_pyramid_partition(6, 0.01, 3)],
+        ids=["cx-J20", "pyramid-d3-J6"],
+    )
+    def test_graded_meshes_have_no_false_overlaps(self, mesh):
+        assert validate_conformity(mesh) == []
+
+    def test_star_of_david_crossing(self):
+        # no shared vertex, and no vertex of either triangle inside the other
+        h = math.sqrt(3) / 2
+        mesh = SimplicialMesh(
+            [[0, 1], [-h, -0.5], [h, -0.5], [0, -1], [h, 0.5], [-h, 0.5]],
+            [[0, 1, 2], [3, 4, 5]],
+        )
+        assert validate_conformity(mesh) == ["simplices 0 and 1 have overlapping interiors"]
+
+    def test_3d_crossing_with_one_shared_vertex(self):
+        mesh = SimplicialMesh(
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+             [0.6, 0.6, -0.5], [0.6, -0.5, 0.6], [-0.5, 0.6, 0.6]],
+            [[0, 1, 2, 3], [0, 4, 5, 6]],
+        )
+        assert "simplices 0 and 1 have overlapping interiors" in validate_conformity(mesh)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_separating_hyperplanes_match_lp_oracle(self, d):
+        # only pairs with a clear margin: shrinking Q by 10% about its
+        # centroid and growing it by 10% must give the same LP verdict
+        rng = np.random.default_rng(500 + d)
+        verdicts = []
+        for _ in range(40):
+            P = random_simplex_vertices(rng, d)
+            Q = random_simplex_vertices(rng, d) + rng.uniform(-1.0, 1.0, d)
+            c = Q.mean(axis=0)
+            overlap = lp_interiors_overlap(P, Q)
+            if lp_interiors_overlap(P, c + 0.9 * (Q - c)) != lp_interiors_overlap(
+                P, c + 1.1 * (Q - c)
+            ):
+                continue
+            mesh = SimplicialMesh(np.vstack([P, Q]), [range(d + 1), range(d + 1, 2 * d + 2)])
+            found = "simplices 0 and 1 have overlapping interiors" in validate_conformity(mesh)
+            assert found == overlap, (P, Q)
+            verdicts.append(overlap)
+        assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+    def test_memory_is_blocked(self):
+        # all i < j pairs of the 8,192 triangles as np.triu_indices would take
+        # about 540 MB
+        mesh = build_uniform_square(64)
+        tracemalloc.start()
+        try:
+            violations = validate_conformity(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert violations == []
+        assert peak < 100e6
+
+    def test_import_leaves_out_scipy_optimize(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, projnorm; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
 
 class TestAngleStats:
     def test_equilateral(self):
@@ -316,6 +388,16 @@ class TestAngleStats:
 
 
 class TestVertexStar:
+    def test_incidence_matches_simplex_loop(self):
+        mesh = build_pyramid_partition(2, 0.3, 4)
+        expected = [[] for _ in range(mesh.n_vertices)]
+        for s, row in enumerate(mesh.simplices):
+            for v in row:
+                expected[v].append(s)
+        got = mesh.vertex_to_simplices
+        assert [a.tolist() for a in got] == expected
+        assert all(a.dtype == np.int64 for a in got)
+
     def test_out_of_range(self):
         with pytest.raises(InvalidVertex):
             vertex_star(build_uniform_square(1), 4)
