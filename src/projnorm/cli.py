@@ -137,9 +137,12 @@ def build_parser():
 
 
 def _write_report(report, path):
+    # One top-level key per line, each value in compact form: json.dumps
+    # without indent runs the C encoder, json.dump never does.
+    lines = (f"{json.dumps(key)}:{json.dumps(value, separators=(',', ':'))}"
+             for key, value in report.to_dict().items())
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def cmd_mesh(args):

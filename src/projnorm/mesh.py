@@ -111,7 +111,8 @@ class SimplicialMesh:
             )
         if simplices.min() < 0 or simplices.max() >= n:
             raise InvalidParameter("simplex vertex ids out of range")
-        if (np.sort(simplices, axis=1)[:, 1:] == np.sort(simplices, axis=1)[:, :-1]).any():
+        ordered = np.sort(simplices, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise InvalidParameter("simplex with repeated vertex ids")
         referenced = np.zeros(n, dtype=bool)
         referenced[simplices] = True
@@ -659,15 +660,12 @@ def symmetry_generators(mesh):
 
 
 def mesh_to_dict(mesh):
-    """JSON-ready dict with full-precision (17 significant digit) coordinates.
-
-    Floats are emitted as strings-of-digits via repr-exact formatting below;
-    the dict holds plain Python floats, the writer controls the digits.
-    """
+    """JSON-ready dict of plain Python floats and ints; the writer controls
+    the digits."""
     return {
         "dim": mesh.dim,
-        "vertices": [[float(c) for c in row] for row in mesh.vertices],
-        "simplices": [[int(v) for v in row] for row in mesh.simplices],
+        "vertices": mesh.vertices.tolist(),
+        "simplices": mesh.simplices.tolist(),
         "labels": {str(k): v for k, v in sorted(mesh.labels.items())},
     }
 
@@ -703,15 +701,18 @@ def mesh_to_json(mesh):
 
 def mesh_from_dict(data):
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         vertices = np.asarray(data["vertices"], dtype=float)
         simplices = np.asarray(data["simplices"])
-        bools = any(type(v) is bool for row in data["simplices"] for v in row)
+        bools = bool in set(map(type, itertools.chain.from_iterable(data["simplices"])))
         labels = data.get("labels", {})
         if isinstance(labels, dict):
             labels = {int(k): str(v) for k, v in labels.items()}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed mesh data: {exc}") from exc
+    # 2.5, "2" and true are not dimensions
+    if type(dim) is not int:
+        raise InvalidParameter("mesh data: dim must be an integer")
     if not isinstance(labels, dict):
         raise InvalidParameter("mesh data: labels must be an object")
     # JSON floats (1e30, 2.7) and booleans are not vertex ids

@@ -10,6 +10,7 @@ from an explicit dense inverse, and overlapping simplex interiors are found
 by one linear program per pair.
 """
 
+import functools
 import itertools
 import math
 
@@ -70,19 +71,23 @@ def quadrature_load(mesh, values, n=8):
     return F
 
 
+@functools.cache
 def _subdivide_reference_triangle(k):
-    """Vertices (barycentric) of the k^2 congruent subtriangles of a triangle."""
-    tris = []
-    for i in range(k):
-        for j in range(k - i):
-            a = (i, j)
-            tris.append((a, (i + 1, j), (i, j + 1)))
-            if i + j < k - 1:
-                tris.append(((i + 1, j), (i + 1, j + 1), (i, j + 1)))
-    out = []
-    for tri in tris:
-        out.append([(1.0 - (i + j) / k, i / k, j / k) for i, j in tri])
-    return np.array(out)  # (n_sub, 3, 3)
+    """Vertices (barycentric) of the k^2 congruent subtriangles of a triangle.
+
+    Lattice point (i, j) with i + j < k owns the upward triangle
+    (i, j), (i+1, j), (i, j+1) and, when i + j < k - 1, the downward one
+    (i+1, j), (i+1, j+1), (i, j+1), listed in that order.  The array is
+    read-only because every caller with the same k shares it.
+    """
+    i, j = np.nonzero(np.add.outer(np.arange(k), np.arange(k)) < k)
+    corners = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]])
+    lattice = np.stack([i, j], -1)[:, None, None, :] + corners  # (P, up/down, 3, 2)
+    keep = np.stack([np.ones_like(i, dtype=bool), i + j < k - 1], 1).ravel()
+    a, b = np.moveaxis(lattice.reshape(-1, 3, 2)[keep], -1, 0)
+    out = np.stack([1.0 - (a + b) / k, a / k, b / k], -1)  # (n_sub, 3, 3)
+    out.setflags(write=False)
+    return out
 
 
 def subdivision_abs_integral(mesh, nodal, k=256):

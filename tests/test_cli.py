@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from projnorm import cli, load_mesh
+from projnorm import cli, load_mesh, mesh_to_dict
 
 
 def run(*argv):
@@ -117,8 +117,13 @@ class TestProjectCommand:
             ("simplices", [[0, 1, 1e30], [0, 3, 2]]),
             ("simplices", [[0, 1, 2.7], [0, 3, 2]]),
             ("simplices", [[0, True, 3], [0, 3, 2]]),
+            ("dim", 2.5),
+            ("dim", 2.0),
+            ("dim", "2"),
+            ("dim", True),
         ],
-        ids=["labels-list", "id-1e30", "id-fractional", "id-bool"],
+        ids=["labels-list", "id-1e30", "id-fractional", "id-bool",
+             "dim-fractional", "dim-float", "dim-string", "dim-bool"],
     )
     def test_malformed_mesh_json_exits_2(self, tmp_path, capsys, field, value):
         mesh_file = tmp_path / "mesh.json"
@@ -165,6 +170,45 @@ class TestNormCommand:
         capsys.readouterr()
         assert run("norm", "--mesh", str(mesh_file)) == 0
         assert "c0:" not in capsys.readouterr().out
+
+
+class TestReportFile:
+    """The report files of project and norm hold exactly report.to_dict()."""
+
+    @pytest.fixture
+    def written(self, tmp_path, monkeypatch):
+        reports = []
+        write = cli._write_report
+
+        def spy(report, path):
+            reports.append(report)
+            write(report, path)
+
+        monkeypatch.setattr(cli, "_write_report", spy)
+        mesh_file = tmp_path / "mesh.json"
+        run("mesh", "counterexample2d", "--J", "3", "--t", "0.1", "-o", str(mesh_file))
+        return mesh_file, reports
+
+    @pytest.mark.parametrize("command", [["project", "--oscillating"], ["norm"]],
+                             ids=["project", "norm"])
+    def test_file_is_the_report_dict(self, tmp_path, written, command):
+        mesh_file, reports = written
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert run(command[0], "--mesh", str(mesh_file), *command[1:],
+                       "-o", str(path)) == 0
+        text = paths[0].read_text()
+        expected = reports[0].to_dict()
+        loaded = json.loads(text)
+        # dumping both compares key order at every level and every float's
+        # repr, so bit-equal floats; null fields are kept
+        assert json.dumps(loaded) == json.dumps(expected)
+        assert None in loaded.values()
+        assert loaded["mesh"] == mesh_to_dict(load_mesh(mesh_file))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # one top-level key per line
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(expected) + 2
 
 
 class TestReproduceCommand:
