@@ -4,7 +4,8 @@ The package builds conforming simplicial meshes (including a family of
 shrinking-square triangulations on which the projection operator norm grows
 without bound), assembles the Galerkin systems of the L2 projection onto
 continuous piecewise-linear splines in closed form, and evaluates the
-resulting operator norms exactly through the dual basis.
+resulting operator norms exactly from the dual functions, the rows of the
+inverse mass matrix.
 """
 
 from .errors import (
@@ -45,16 +46,13 @@ from .mesh import (
 )
 from .projection import (
     CellwiseConstant,
-    NormalizedSystem,
     OperatorNorm,
     ProjectionReport,
     Proposition1Result,
     SplineFunction,
     assemble_load,
     assemble_mass,
-    dual_basis,
     exact_operator_norm,
-    inverse_infinity_norm_bound,
     normalized_system,
     project,
     proposition1_check,

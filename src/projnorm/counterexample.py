@@ -222,7 +222,8 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
     """Project the oscillating witness for each J and record the sup norms.
 
     With with_norms=True the exact operator norm and the inverse-based bound
-    are recorded as well (slower: one dense dual basis per mesh).
+    are recorded as well (slower: every dual function of each mesh is
+    solved for and integrated).
     """
     if d < 2:
         raise InvalidParameter(f"growth sweeps are defined for d >= 2, got {d!r}")

@@ -26,12 +26,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import types
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateSimplex,
@@ -54,6 +56,10 @@ _UNDERFLOW_LIMIT = 1e-250
 # Square corners in clockwise order (y axis pointing up): corner i of ring j
 # sits at t**j times this.
 _CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
+
+# Constructor label of corner i (1..4) of ring j; the bounded ring index
+# always fits the int64 ring array.
+_CORNER_LABEL = re.compile(r"\s*ring\s+(\d{1,9})\s+corner\s+([1-4])\s*")
 
 # Conformity slack: boxes, barycentric coordinates and separating gaps within
 # this fraction of the simplex's (or the pair's) extent count as touching.
@@ -558,43 +564,37 @@ def symmetry_orbits(mesh, permutations):
         perms = perms[None, :]
     if perms.ndim != 2 or perms.shape[1] != mesh.n_vertices:
         raise InvalidParameter("permutations must have one entry per vertex")
-    simplex_set = {frozenset(row.tolist()) for row in mesh.simplices}
     n = mesh.n_vertices
+    simplex_set = _sorted_simplices(mesh.simplices)
     for perm in perms:
         if not np.array_equal(np.sort(perm), np.arange(n)):
             raise NotASymmetry("not a bijection of the vertex ids")
-        mapped = {frozenset(perm[row].tolist()) for row in mesh.simplices}
-        if mapped != simplex_set:
-            missing = next(iter(mapped - simplex_set))
+        mapped = _sorted_simplices(perm[mesh.simplices])
+        if not np.array_equal(mapped, simplex_set):
+            known = set(map(tuple, simplex_set.tolist()))
+            missing = next(row for row in mapped.tolist() if tuple(row) not in known)
             raise NotASymmetry(
-                f"permutation sends a simplex to {sorted(missing)}, "
-                "which is not in the mesh"
+                f"permutation sends a simplex to {missing}, which is not in the mesh"
             )
 
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for perm in perms:
-        for v in range(n):
-            ra, rb = find(v), find(perm[v])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    roots = np.array([find(v) for v in range(n)])
-    groups = defaultdict(list)
-    for v, r in enumerate(roots):
-        groups[r].append(v)
-    orbits = [np.array(groups[r], dtype=np.int64) for r in sorted(groups)]
-    orbit_of = np.empty(n, dtype=np.int64)
-    for k, orb in enumerate(orbits):
-        orbit_of[orb] = k
+    # orbits are the connected components of the graph with edges v -> perm[v]
+    # (row v of the CSR matrix holds perm[v] of every generator); the
+    # components are numbered in the order of their smallest members
+    edges = sparse.csr_matrix(
+        (np.ones(perms.size), perms.T.ravel(), np.arange(0, perms.size + 1, len(perms))),
+        shape=(n, n),
+    )
+    orbit_of = connected_components(edges, directed=False)[1].astype(np.int64)
+    members = np.argsort(orbit_of, kind="stable")
+    orbits = np.split(members, np.cumsum(np.bincount(orbit_of))[:-1])
     return OrbitPartition(orbits=orbits, generators=[p.copy() for p in perms],
                           orbit_of=orbit_of)
+
+
+def _sorted_simplices(simplices):
+    """Simplices as ascending vertex ids, the rows in lexicographic order."""
+    rows = np.sort(simplices, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def vertex_roles(mesh):
@@ -616,13 +616,13 @@ def vertex_roles(mesh):
         if lab is None:
             raise MissingLabels(f"vertex {v} carries no constructor label")
         parts = lab.split()
+        corner_label = _CORNER_LABEL.fullmatch(lab)
         if lab == "center":
             center = v
-        elif parts[0] == "apex" and len(parts) == 2:
+        elif len(parts) == 2 and parts[0] == "apex":
             apexes.append(v)
-        elif parts[0] == "ring" and len(parts) == 4 and parts[2] == "corner":
-            ring[v] = int(parts[1])
-            corner[v] = int(parts[3])
+        elif corner_label:
+            ring[v], corner[v] = map(int, corner_label.groups())
         else:
             raise MissingLabels(f"unrecognized vertex label {lab!r}")
     if center < 0 or not (corner > 0).any():

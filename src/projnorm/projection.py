@@ -10,9 +10,11 @@ Every solve goes through one sparse LU factorization of the symmetrically
 scaled S = D^{-1/2} M D^{-1/2} (D the diagonal of M), its columns in the
 symmetric minimum-degree order of S + S^T (MMD_AT_PLUS_A): S is symmetric,
 and on large meshes that order keeps about half the fill of the COLAMD
-default.  The sup norm of the projector equals the largest L1 norm of a
-dual function, a row of M^{-1}; the same rows give the bound
-(d+2)/2 * ||A^{-1}||_inf with A = D^{-1} M.
+default.  Every solve passes the normalized-residual gate of _gated_solve.
+The sup norm of the projector equals the largest L1 norm of a dual function,
+a row of M^{-1}; exact_operator_norm solves for the rows in blocks and never
+holds M^{-1} whole.  The same rows give the bound (d+2)/2 * ||A^{-1}||_inf
+with A = D^{-1} M.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ RESIDUAL_RTOL = 1e-10
 # Sign classification threshold for the exact |linear| integrator: values
 # within 1e-14 of the local scale count as zero.
 _SIGN_RTOL = 1e-14
-# Most vertex values the |linear| integrator gathers at once (rows of dual
-# functions times simplices times d + 1); it bounds the temporary arrays.
+# Most vertex values the |linear| integrator gathers at once (dual rows times
+# simplices times d + 1); exact_operator_norm sizes its blocks of rows by it.
 _BLOCK_VALUES = 2**13
 # Dual rows whose integrals are this close to the largest one tie for the
 # witness of exact_operator_norm.
@@ -155,25 +157,22 @@ def _scaled_factor(M):
         raise SolveFailure(f"mass matrix factorization failed: {exc}") from exc
 
 
-def solve_with_load(mesh, load):
-    """Solve M x = load; return x and the normalized residual
-    ||D^{-1}(M x - load)||_inf / ||D^{-1} load||_inf, which unlike max|M x - load|
-    sees errors on the tiny inner rows of a graded mesh.  Above RESIDUAL_RTOL
-    the solve raises SolveFailure."""
-    load = np.asarray(load, dtype=float)
-    if load.shape != (mesh.n_vertices,):
-        raise LengthMismatch(
-            f"expected one load entry per vertex ({mesh.n_vertices}), got {load.shape}"
-        )
-    M = assemble_mass(mesh)
-    lu, s = _scaled_factor(M)
-    x = s * lu.solve(s * load)
+def _gated_solve(M, factor, b):
+    """Solve M x = b for a vector b, or for each column of a block b, with
+    factor = _scaled_factor(M).  Returns x and the largest normalized residual
+    ||D^{-1}(M x - b)||_inf / ||D^{-1} b||_inf over the columns; unlike
+    max|M x - b| it sees errors on the tiny inner rows of a graded mesh.
+    Above RESIDUAL_RTOL the solve raises SolveFailure."""
+    lu, s = factor
     diag = M.diagonal()
-    error = float(np.abs((M @ x - load) / diag).max())
-    scale = float(np.abs(load / diag).max())
-    residual = error / scale if scale else error
+    if b.ndim == 2:
+        s, diag = s[:, None], diag[:, None]
+    x = s * lu.solve(s * b)
+    error = np.abs((M @ x - b) / diag).max(axis=0)
+    scale = np.abs(b / diag).max(axis=0)
+    residual = float(np.max(error / np.where(scale > 0, scale, 1.0)))
     # written so that a NaN residual fails and a zero load passes
-    if not error <= RESIDUAL_RTOL * scale:
+    if not np.all(error <= RESIDUAL_RTOL * scale):
         raise SolveFailure(
             f"projection solve left normalized residual {residual:.3e} "
             f"(allowed {RESIDUAL_RTOL:.0e})",
@@ -182,21 +181,20 @@ def solve_with_load(mesh, load):
     return x, residual
 
 
+def solve_with_load(mesh, load):
+    """Solve M x = load; return x and its normalized residual (_gated_solve)."""
+    load = np.asarray(load, dtype=float)
+    if load.shape != (mesh.n_vertices,):
+        raise LengthMismatch(
+            f"expected one load entry per vertex ({mesh.n_vertices}), got {load.shape}"
+        )
+    M = assemble_mass(mesh)
+    return _gated_solve(M, _scaled_factor(M), load)
+
+
 def project(mesh, f):
     """L2 projection of cellwise-constant data onto the linear splines."""
     return SplineFunction(solve_with_load(mesh, assemble_load(mesh, f))[0])
-
-
-def dual_basis(M):
-    """Nodal values of the dual functions, i.e. the rows of M^{-1}.
-
-    M is the mesh's mass matrix (assemble_mass).  Row P is the spline
-    biorthogonal to the hat at vertex P; the exact operator norm of the
-    projection is the largest L1 norm among these rows.
-    """
-    lu, s = _scaled_factor(M)
-    Minv = s[:, None] * lu.solve(np.diag(s))
-    return (Minv + Minv.T) / 2
 
 
 def _abs_integrals(mesh, rows):
@@ -212,40 +210,37 @@ def _abs_integrals(mesh, rows):
     as zero.  Each split zeroes one nonzero vertex value and a simplex needs
     two to change sign, so no simplex is split more than d times.
 
-    All simplices of a block of rows are split together, one level at a time;
-    the block holds at most _BLOCK_VALUES vertex values.
+    All simplices of all rows are split together, one level at a time, so
+    callers bound the temporary arrays by the number of rows they pass.
     """
     simp = mesh.simplices
     n_simp, k = simp.shape
+    vals = rows[:, simp].reshape(-1, k)
+    volume = np.tile(mesh.simplex_volumes, len(rows))
+    owner = np.repeat(np.arange(len(rows)), n_simp)
     totals = np.zeros(len(rows))
-    step = max(1, _BLOCK_VALUES // (n_simp * k))
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        vals = block[:, simp].reshape(-1, k)
-        volume = np.tile(mesh.simplex_volumes, len(block))
-        owner = np.repeat(np.arange(len(block)), n_simp)
-        while len(vals):
-            thr = _SIGN_RTOL * np.abs(vals).max(axis=1, keepdims=True)
-            pos = vals > thr
-            neg = vals < -thr
-            mixed = pos.any(axis=1) & neg.any(axis=1)
-            flat = ~mixed
-            totals[start:start + len(block)] += np.bincount(
-                owner[flat],
-                weights=volume[flat] * np.abs(vals[flat].mean(axis=1)),
-                minlength=len(block),
-            )
-            vals, volume, owner = vals[mixed], volume[mixed], owner[mixed]
-            at = np.arange(len(vals))
-            i = pos[mixed].argmax(axis=1)
-            j = neg[mixed].argmax(axis=1)
-            theta = vals[at, i] / (vals[at, i] - vals[at, j])
-            child_a = vals.copy()
-            child_a[at, j] = 0.0
-            vals[at, i] = 0.0
-            vals = np.concatenate([child_a, vals])
-            volume = np.concatenate([theta * volume, (1.0 - theta) * volume])
-            owner = np.concatenate([owner, owner])
+    while len(vals):
+        thr = _SIGN_RTOL * np.abs(vals).max(axis=1, keepdims=True)
+        pos = vals > thr
+        neg = vals < -thr
+        mixed = pos.any(axis=1) & neg.any(axis=1)
+        flat = ~mixed
+        totals += np.bincount(
+            owner[flat],
+            weights=volume[flat] * np.abs(vals[flat].mean(axis=1)),
+            minlength=len(rows),
+        )
+        vals, volume, owner = vals[mixed], volume[mixed], owner[mixed]
+        at = np.arange(len(vals))
+        i = pos[mixed].argmax(axis=1)
+        j = neg[mixed].argmax(axis=1)
+        theta = vals[at, i] / (vals[at, i] - vals[at, j])
+        child_a = vals.copy()
+        child_a[at, j] = 0.0
+        vals[at, i] = 0.0
+        vals = np.concatenate([child_a, vals])
+        volume = np.concatenate([theta * volume, (1.0 - theta) * volume])
+        owner = np.concatenate([owner, owner])
     return totals
 
 
@@ -268,26 +263,30 @@ class OperatorNorm(NamedTuple):
 def exact_operator_norm(mesh):
     """Exact sup-norm operator norm, its witness vertex and the A^{-1} bound.
 
-    The norm equals max_P integral of |psi_P| where psi_P are the dual
-    functions.  The witness is the smallest vertex id whose integral is
-    within a relative 1e-12 of the norm, so roundoff in the order of the
-    summation cannot move it between tied vertices.
+    The norm is max_P integral of |psi_P| over the dual functions psi_P, the
+    rows of M^{-1}; they are solved for through the residual gate, integrated
+    and dropped one block of unit columns at a time (rows times simplices
+    times d + 1 at most _BLOCK_VALUES).  The witness is the smallest vertex id
+    whose integral is within a relative 1e-12 of the norm, so roundoff in the
+    order of the summation cannot move it between tied vertices.  The bound
+    is (d+2)/2 * ||A^{-1}||_inf = (d+2)/2 * max_P sum_Q |psi_P(Q)| M_QQ, since
+    A^{-1} = M^{-1} D.
     """
     M = assemble_mass(mesh)
-    dual = dual_basis(M)
-    totals = _abs_integrals(mesh, dual)
+    factor = _scaled_factor(M)
+    n = mesh.n_vertices
+    step = max(1, _BLOCK_VALUES // mesh.simplices.size)
+    diag = M.diagonal()
+    totals = np.empty(n)
+    row_sum = 0.0
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        psi = _gated_solve(M, factor, np.eye(n, stop - start, -start))[0].T
+        totals[start:stop] = _abs_integrals(mesh, psi)
+        row_sum = max(row_sum, float((np.abs(psi) @ diag).max()))
     best = float(totals.max())
     witness = int(np.argmax(totals >= best * (1.0 - _TIE_RTOL)))
-    return OperatorNorm(best, witness, inverse_infinity_norm_bound(mesh, M, dual))
-
-
-def inverse_infinity_norm_bound(mesh, M, dual):
-    """Upper bound (d+2)/2 * ||A^{-1}||_inf for the exact operator norm.
-
-    M is the mesh's mass matrix and dual holds the rows of M^{-1}
-    (dual_basis); since A^{-1} = M^{-1} D,
-    ||A^{-1}||_inf = max_P sum_Q |psi_P(Q)| M_QQ."""
-    return 0.5 * (mesh.dim + 2) * float((np.abs(dual) @ M.diagonal()).max())
+    return OperatorNorm(best, witness, 0.5 * (mesh.dim + 2) * row_sum)
 
 
 class Proposition1Result(NamedTuple):

@@ -5,9 +5,9 @@ mass matrices and loads are integrated with a tensor Gauss-Legendre rule
 mapped onto the simplex (Duffy transform), absolute integrals of splines are
 approximated by centroid rules on fine self-similar subdivisions or computed
 simplex by simplex with a scalar recursion, witness norms are found by
-brute force over all cellwise sign patterns, the inverse-norm bound comes
-from an explicit dense inverse, and overlapping simplex interiors are found
-by one linear program per pair.
+brute force over all cellwise sign patterns, the dual functions and the
+inverse-norm bound come from explicit dense inverses, and overlapping
+simplex interiors are found by one linear program per pair.
 """
 
 import functools
@@ -179,6 +179,11 @@ def brute_force_witness(mesh, mass_dense):
     sups = np.abs(X).max(axis=0)
     best = int(np.argmax(sups))
     return float(sups[best]), patterns[best]
+
+
+def dense_dual_basis(M):
+    """Nodal values of the dual functions, the rows of an explicit dense M^{-1}."""
+    return np.linalg.inv(M.toarray())
 
 
 def inverse_norm_bound(mesh, mass_dense):

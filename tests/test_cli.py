@@ -1,13 +1,19 @@
 import json
+import types
 
 import numpy as np
 import pytest
 
-from projnorm import cli, load_mesh, mesh_to_dict
+from projnorm import cli, load_mesh, mesh_to_dict, projection
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+# data options of project: two values for the two triangles of uniform n=1
+VALUES = ("--values", "1,2")
+OSCILLATING = ("--oscillating",)
 
 
 class TestMeshCommand:
@@ -111,28 +117,32 @@ class TestProjectCommand:
                    "-o", str(tmp_path / "r.json")) == 2
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, data_args",
         [
-            ("labels", [1]),
-            ("simplices", [[0, 1, 1e30], [0, 3, 2]]),
-            ("simplices", [[0, 1, 2.7], [0, 3, 2]]),
-            ("simplices", [[0, True, 3], [0, 3, 2]]),
-            ("dim", 2.5),
-            ("dim", 2.0),
-            ("dim", "2"),
-            ("dim", True),
+            ("labels", [1], VALUES),
+            ("simplices", [[0, 1, 1e30], [0, 3, 2]], VALUES),
+            ("simplices", [[0, 1, 2.7], [0, 3, 2]], VALUES),
+            ("simplices", [[0, True, 3], [0, 3, 2]], VALUES),
+            ("dim", 2.5, VALUES),
+            ("dim", 2.0, VALUES),
+            ("dim", "2", VALUES),
+            ("dim", True, VALUES),
+            # labels are read only by --oscillating
+            ("labels", {"0": ""}, OSCILLATING),
+            ("labels", {"0": "ring x corner 1"}, OSCILLATING),
         ],
         ids=["labels-list", "id-1e30", "id-fractional", "id-bool",
-             "dim-fractional", "dim-float", "dim-string", "dim-bool"],
+             "dim-fractional", "dim-float", "dim-string", "dim-bool",
+             "label-empty", "label-ring-not-a-number"],
     )
-    def test_malformed_mesh_json_exits_2(self, tmp_path, capsys, field, value):
+    def test_malformed_mesh_json_exits_2(self, tmp_path, capsys, field, value, data_args):
         mesh_file = tmp_path / "mesh.json"
         run("mesh", "uniform", "--n", "1", "-o", str(mesh_file))
         data = json.loads(mesh_file.read_text())
         data[field] = value
         mesh_file.write_text(json.dumps(data))
         capsys.readouterr()
-        assert run("project", "--mesh", str(mesh_file), "--values", "1,2",
+        assert run("project", "--mesh", str(mesh_file), *data_args,
                    "-o", str(tmp_path / "r.json")) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
@@ -163,6 +173,21 @@ class TestNormCommand:
         assert report["exact_operator_norm"] == pytest.approx(3.002075824636801)
         assert report["exact_operator_norm"] <= report["ainv_bound"] + 1e-9
         assert report["c0"] == pytest.approx(0.125)
+
+    def test_residual_gate_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # dual rows 22% too large leave a normalized residual of 0.22
+        mesh_file = tmp_path / "mesh.json"
+        run("mesh", "counterexample2d", "--J", "2", "--t", "0.1", "-o", str(mesh_file))
+        factor = projection._scaled_factor
+
+        def perturbed(M):
+            lu, s = factor(M)
+            return types.SimpleNamespace(solve=lambda b: 1.22 * lu.solve(b)), s
+
+        monkeypatch.setattr(projection, "_scaled_factor", perturbed)
+        capsys.readouterr()
+        assert run("norm", "--mesh", str(mesh_file)) == 3
+        assert "normalized residual 2.200e-01" in capsys.readouterr().err
 
     def test_interval_skips_2d_coupling_bound(self, tmp_path, capsys):
         mesh_file = tmp_path / "mesh.json"

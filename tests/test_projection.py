@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -23,7 +24,6 @@ from projnorm import (
     build_interval_partition,
     build_pyramid_partition,
     build_uniform_square,
-    dual_basis,
     exact_operator_norm,
     mesh_to_dict,
     normalized_system,
@@ -174,23 +174,35 @@ class TestProjection:
         with pytest.raises(SolveFailure, match="factorization failed"):
             projection._scaled_factor(scipy.sparse.csr_matrix(np.ones((2, 2))))
 
-    def test_residual_gate_sees_inner_rings(self, monkeypatch):
-        # a wrong solution that is 22% too large on the innermost ring and the
-        # center leaves max|M x - F| at roundoff level, because those rows of M
-        # are about t^(2J) times the outer ones; the normalized residual is 1.55
+    @staticmethod
+    def _inner_rings_too_large(monkeypatch):
+        """cx J=8, t=0.01, with every solve 22% too large on ring 8 and the center."""
         mesh = build_counterexample_2d(8, 0.01)
-        ring = vertex_roles(mesh)[0]
-        weight = np.where(ring >= 8, 1.22, 1.0)
+        weight = np.where(vertex_roles(mesh)[0] >= 8, 1.22, 1.0)
         factor = projection._scaled_factor
 
         def perturbed(M):
             lu, s = factor(M)
-            return types.SimpleNamespace(solve=lambda b: lu.solve(b) * weight), s
+            return types.SimpleNamespace(solve=lambda b: (lu.solve(b).T * weight).T), s
 
         monkeypatch.setattr(projection, "_scaled_factor", perturbed)
+        return mesh
+
+    def test_residual_gate_sees_inner_rings(self, monkeypatch):
+        # a wrong solution that is 22% too large on the innermost ring and the
+        # center leaves max|M x - F| at roundoff level, because those rows of M
+        # are about t^(2J) times the outer ones; the normalized residual is 1.55
+        mesh = self._inner_rings_too_large(monkeypatch)
         with pytest.raises(SolveFailure) as caught:
             project(mesh, oscillating_data(mesh))
         assert caught.value.residual > 1.0
+
+    def test_residual_gate_covers_dual_rows(self, monkeypatch):
+        # the same error in the dual rows that exact_operator_norm integrates
+        mesh = self._inner_rings_too_large(monkeypatch)
+        with pytest.raises(SolveFailure) as caught:
+            exact_operator_norm(mesh)
+        assert caught.value.residual > 0.1
 
     def test_matches_dense_quadrature_solve(self):
         mesh = build_counterexample_2d(1, 0.3)
@@ -245,16 +257,21 @@ class TestDualBasis:
         ids=lambda m: f"d{m.dim}v{m.n_vertices}",
     )
     def test_biorthogonality(self, mesh):
+        # the rows exact_operator_norm integrates: the gated solve of unit columns
         M = assemble_mass(mesh)
-        psi = dual_basis(M)
-        err = np.abs(M.toarray() @ psi.T - np.eye(mesh.n_vertices)).max()
+        unit = np.eye(mesh.n_vertices)
+        psi, residual = projection._gated_solve(M, projection._scaled_factor(M), unit)
+        assert residual <= projection.RESIDUAL_RTOL
+        err = np.abs(M.toarray() @ psi - unit).max()
         assert err < 1e-9
+        reference = oracles.dense_dual_basis(M)
+        assert np.abs(psi.T - reference).max() < 1e-9 * np.abs(reference).max()
 
     def test_center_dual_overshoots_negative(self):
         # on the 8-triangle square the dual at the center is +9 there and -3
         # at every other vertex
         mesh = build_uniform_square(2)
-        psi = dual_basis(assemble_mass(mesh))
+        psi = oracles.dense_dual_basis(assemble_mass(mesh))
         assert psi[4, 4] == pytest.approx(9.0, rel=1e-12)
         others = np.delete(psi[4], 4)
         assert others == pytest.approx(np.full(8, -3.0), rel=1e-12)
@@ -342,14 +359,18 @@ class TestBatchedAgainstRecursion:
                              ids=lambda m: f"d{m.dim}-m{m.n_simplices}")
     def test_dual_rows_across_blocks(self, mesh, monkeypatch):
         # blocks of one row, of a few rows, and of every row at once
-        psi = dual_basis(assemble_mass(mesh))
-        expected = [oracles.recursive_abs_integral(mesh, row) for row in psi]
-        values_per_row = mesh.n_simplices * (mesh.dim + 1)
-        for block in (1, 3 * values_per_row, len(psi) * values_per_row):
-            monkeypatch.setattr(projection, "_BLOCK_VALUES", block)
-            assert projection._abs_integrals(mesh, psi) == pytest.approx(
-                expected, rel=BATCH_RTOL)
-        assert exact_operator_norm(mesh).norm == pytest.approx(max(expected), rel=BATCH_RTOL)
+        M = assemble_mass(mesh)
+        totals = np.array([oracles.recursive_abs_integral(mesh, row)
+                           for row in oracles.dense_dual_basis(M)])
+        norm = totals.max()
+        witness = int(np.argmax(totals >= norm * (1 - 1e-12)))
+        bound = oracles.inverse_norm_bound(mesh, M.toarray())
+        for rows in (1, 3, mesh.n_vertices):
+            monkeypatch.setattr(projection, "_BLOCK_VALUES", rows * mesh.simplices.size)
+            result = exact_operator_norm(mesh)
+            assert result.norm == pytest.approx(norm, rel=BATCH_RTOL)
+            assert result.witness == witness
+            assert result.ainv_bound == pytest.approx(bound, rel=BATCH_RTOL)
 
     def test_values_at_the_sign_threshold(self):
         # +-1e-14 of the scale is zero; just above it the simplex is split
@@ -374,11 +395,23 @@ class TestExactOperatorNorm:
         # the square's symmetries tie up to roundoff; vertex 3 is the first
         mesh = build_uniform_square(8)
         norm, witness, _ = exact_operator_norm(mesh)
-        totals = [spline_abs_integral(mesh, row) for row in dual_basis(assemble_mass(mesh))]
+        totals = [spline_abs_integral(mesh, row)
+                  for row in oracles.dense_dual_basis(assemble_mass(mesh))]
         assert norm == pytest.approx(max(totals), rel=1e-13)
         assert witness == 3
         assert totals[witness] == pytest.approx(norm, rel=1e-12)
         assert all(t < norm * (1 - 1e-12) for t in totals[:witness])
+
+    def test_memory_is_streamed(self):
+        # M^{-1} of these 1,089 vertices alone would take 9.5 MB
+        mesh = build_uniform_square(32)
+        tracemalloc.start()
+        try:
+            exact_operator_norm(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_uniform_intervals_stay_bounded(self):
         mesh = build_interval_partition(np.linspace(0.0, 1.0, 25))
@@ -396,7 +429,7 @@ class TestExactOperatorNorm:
         # already exceeds the 1D bound 3
         mesh = build_uniform_square(2)
         norm, witness, _ = exact_operator_norm(mesh)
-        psi = dual_basis(assemble_mass(mesh))
+        psi = oracles.dense_dual_basis(assemble_mass(mesh))
         approx = oracles.subdivision_abs_integral(mesh, psi[witness], k=512)
         assert norm == pytest.approx(approx, rel=1e-5)
         assert witness == 0
