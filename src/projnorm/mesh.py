@@ -632,7 +632,10 @@ def vertex_roles(mesh):
 
 
 def ring_rotation_permutation(mesh):
-    """Vertex permutation of the 90-degree rotation (corner i -> i+1 per ring)."""
+    """Vertex permutation of the 90-degree rotation (corner i -> i+1 per ring).
+
+    Raises MissingLabels when a labeled ring lacks one of its four corners.
+    """
     ring, corner, center, apexes = vertex_roles(mesh)
     where = {}
     for v in range(mesh.n_vertices):
@@ -640,7 +643,10 @@ def ring_rotation_permutation(mesh):
             where[(int(ring[v]), int(corner[v]))] = v
     perm = np.arange(mesh.n_vertices)
     for (j, i), v in where.items():
-        perm[v] = where[(j, i % 4 + 1)]
+        image = where.get((j, i % 4 + 1))
+        if image is None:
+            raise MissingLabels(f"ring {j} has no vertex labeled corner {i % 4 + 1}")
+        perm[v] = image
     return perm
 
 

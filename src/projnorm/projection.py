@@ -200,45 +200,72 @@ def project(mesh, f):
 def _abs_integrals(mesh, rows):
     """Exact integral of |g| for each spline g whose vertex values are a row.
 
-    On a simplex where g does not change sign the integral is volume times
-    |mean|.  Otherwise the simplex is split along the zero of g on one
-    sign-changing edge, from the first positive vertex i to the first negative
-    vertex j: the zero sits at barycentric position theta = v_i / (v_i - v_j),
-    and the two children keep all values except that v_j (resp. v_i) is
-    replaced by 0; their volumes are theta and (1 - theta) times the parent
-    volume.  Values within _SIGN_RTOL of a simplex's own largest |value| count
-    as zero.  Each split zeroes one nonzero vertex value and a simplex needs
-    two to change sign, so no simplex is split more than d times.
+    Values within _SIGN_RTOL of a simplex's own largest |value| count as
+    zero.  Each simplex of volume V in dimension d is then integrated by one
+    of three rules:
 
-    All simplices of all rows are split together, one level at a time, so
-    callers bound the temporary arrays by the number of rows they pass.
+    - no sign change: V |mean|, with mean the mean of the vertex values;
+    - a lone vertex, the only one with its sign, of value a at vertex i: the
+      part of the simplex where g has the sign of a is the corner at i cut
+      off where g vanishes on each edge i-j, at fractions a / (a - v_j), so
+      integral |g| = 2 integral g_+ - integral g (for a > 0) gives
+      V (2 |a| / (d+1) prod_{j != i} a / (a - v_j) - sign(a) mean).
+      This ratio form keeps every factor in (0, 1] (up to sub-threshold
+      values), so it cannot overflow or underflow as the textbook
+      a^(d+1) / prod (a - v_j) does once the values of a graded mesh reach
+      1e+-150; the subtraction loses at most a factor of 2.  In 1D and 2D
+      every sign change is of this kind;
+    - otherwise (two or more vertices of each sign, from 3D on) the simplex
+      is split along the zero of g on one sign-changing edge, from the first
+      positive vertex i to the first negative vertex j: the zero sits at
+      barycentric position theta = v_i / (v_i - v_j), and the two children
+      keep all values except that v_j (resp. v_i) is replaced by 0; their
+      volumes are theta and (1 - theta) times the parent volume.  Each split
+      zeroes one nonzero vertex value and a simplex needs two to change sign,
+      so no simplex is split more than d times.
+
+    All simplices of all rows are handled together, one level of splits at a
+    time, so callers bound the temporary arrays by the number of rows they
+    pass.
     """
     simp = mesh.simplices
     n_simp, k = simp.shape
-    vals = rows[:, simp].reshape(-1, k)
+    # one column per (row, simplex) pair and one array row per simplex vertex,
+    # contiguous, so the reductions over a simplex's vertices are elementwise
+    vals = np.ascontiguousarray(rows[:, simp.T].swapaxes(0, 1)).reshape(k, -1)
     volume = np.tile(mesh.simplex_volumes, len(rows))
     owner = np.repeat(np.arange(len(rows)), n_simp)
     totals = np.zeros(len(rows))
-    while len(vals):
-        thr = _SIGN_RTOL * np.abs(vals).max(axis=1, keepdims=True)
+    while vals.shape[1]:
+        vmax = vals.max(axis=0)
+        vmin = vals.min(axis=0)
+        thr = _SIGN_RTOL * np.maximum(vmax, -vmin)
         pos = vals > thr
         neg = vals < -thr
-        mixed = pos.any(axis=1) & neg.any(axis=1)
-        flat = ~mixed
-        totals += np.bincount(
-            owner[flat],
-            weights=volume[flat] * np.abs(vals[flat].mean(axis=1)),
-            minlength=len(rows),
-        )
-        vals, volume, owner = vals[mixed], volume[mixed], owner[mixed]
-        at = np.arange(len(vals))
-        i = pos[mixed].argmax(axis=1)
-        j = neg[mixed].argmax(axis=1)
-        theta = vals[at, i] / (vals[at, i] - vals[at, j])
+        mixed = (vmax > thr) & (vmin < -thr)
+        lone_pos = mixed & (pos.sum(axis=0) == 1)
+        lone = lone_pos | (mixed & (neg.sum(axis=0) == 1))
+        mean = vals.sum(axis=0) / k
+        part = np.abs(mean)
+        lv = vals[:, lone]
+        # the lone value is the only one beyond the threshold on its side
+        a = np.where(lone_pos[lone], vmax[lone], vmin[lone])
+        gap = np.where(lv == a, a, a - lv)  # factor 1 at the lone vertex, no 0/0
+        ratio = np.prod(a / gap, axis=0)
+        part[lone] = 2.0 * np.abs(a) / k * ratio - np.sign(a) * mean[lone]
+        split = mixed & ~lone
+        done = ~split
+        totals += np.bincount(owner[done], weights=volume[done] * part[done],
+                              minlength=len(rows))
+        vals, volume, owner = vals[:, split], volume[split], owner[split]
+        at = np.arange(vals.shape[1])
+        i = pos[:, split].argmax(axis=0)
+        j = neg[:, split].argmax(axis=0)
+        theta = vals[i, at] / (vals[i, at] - vals[j, at])
         child_a = vals.copy()
-        child_a[at, j] = 0.0
-        vals[at, i] = 0.0
-        vals = np.concatenate([child_a, vals])
+        child_a[j, at] = 0.0
+        vals[i, at] = 0.0
+        vals = np.concatenate([child_a, vals], axis=1)
         volume = np.concatenate([theta * volume, (1.0 - theta) * volume])
         owner = np.concatenate([owner, owner])
     return totals

@@ -189,6 +189,19 @@ class TestNormCommand:
         assert run("norm", "--mesh", str(mesh_file)) == 3
         assert "normalized residual 2.200e-01" in capsys.readouterr().err
 
+    def test_repeat_runs_write_identical_bytes(self, tmp_path, capsys):
+        # a warning printed on the first call only would make the runs differ
+        mesh_file = tmp_path / "mesh.json"
+        run("mesh", "counterexample2d", "--J", "20", "--t", "0.01", "-o", str(mesh_file))
+        capsys.readouterr()
+        report_file = tmp_path / "report.json"
+        runs = []
+        for _ in range(2):
+            assert run("norm", "--mesh", str(mesh_file), "-o", str(report_file)) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out, captured.err, report_file.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_interval_skips_2d_coupling_bound(self, tmp_path, capsys):
         mesh_file = tmp_path / "mesh.json"
         run("mesh", "interval", "--breakpoints", "0,1,2,4", "-o", str(mesh_file))

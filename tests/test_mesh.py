@@ -24,6 +24,7 @@ from projnorm import (
     build_uniform_square,
     mesh_from_json,
     mesh_to_json,
+    reduced_ring_system,
     ring_rotation_permutation,
     simplex_volume,
     symmetry_generators,
@@ -456,6 +457,16 @@ class TestSymmetryOrbits:
     def test_roles_require_labels(self):
         with pytest.raises(MissingLabels):
             vertex_roles(build_uniform_square(2))
+
+    @pytest.mark.parametrize("entry", [symmetry_generators, reduced_ring_system])
+    def test_ring_missing_a_corner(self, entry):
+        # every label parses, but ring 1 has lost its corner 2 to an apex
+        mesh = build_counterexample_2d(2, 0.3)
+        labels = {v: "apex 3" if lab == "ring 1 corner 2" else lab
+                  for v, lab in mesh.labels.items()}
+        mesh = SimplicialMesh(mesh.vertices, mesh.simplices, labels)
+        with pytest.raises(MissingLabels, match="ring 1 has no vertex labeled corner 2"):
+            entry(mesh)
 
 
 class TestSerialization:

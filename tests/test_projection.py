@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from projnorm import projection
@@ -310,8 +311,10 @@ class TestAbsIntegral:
             spline_abs_integral(unit_triangle(), [1.0, 2.0])
 
 
-# Batched integrals against the scalar recursion: the same splits summed in
-# another order, so they agree to a few ulps per simplex.
+# Batched integrals against the scalar recursion, which splits every
+# sign-changing simplex: the batched core integrates lone-vertex simplices in
+# closed form and sums in another order, so they agree to a few ulps per
+# simplex.
 BATCH_RTOL = 1e-13
 
 
@@ -372,6 +375,29 @@ class TestBatchedAgainstRecursion:
             assert result.witness == witness
             assert result.ainv_bound == pytest.approx(bound, rel=BATCH_RTOL)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_lone_vertex_at_extreme_scales(self, d):
+        # one vertex against d of the other sign, at every position; the other
+        # values include zeros, sub-threshold values of either sign and values
+        # 1e300 below the scale, and the scales reach 1e+-150 and 1e200, where
+        # a^(d+1) / prod (a - v_j) would overflow or underflow
+        rng = np.random.default_rng(d)
+        mesh = SimplicialMesh(oracles.random_simplex_vertices(rng, d), [list(range(d + 1))])
+        others = -np.array([0.5, 3.0, 1.5, 2.0][:d])
+        variants = [others]
+        for tiny in (0.0, 1e-15, -5e-15, -1e-300):
+            variants += [np.where(np.arange(d) == m, tiny, others) for m in range(1, d)]
+        rows = np.array([sign * scale * np.insert(rest, p, 0.7)
+                         for sign in (1.0, -1.0)
+                         for scale in (1e-150, 1.0, 1e150, 1e200)
+                         for rest in variants
+                         for p in range(d + 1)])
+        batched = projection._abs_integrals(mesh, rows)
+        assert np.isfinite(batched).all()
+        for row, total in zip(rows, batched):
+            assert total == pytest.approx(oracles.recursive_abs_integral(mesh, row),
+                                          rel=BATCH_RTOL)
+
     def test_values_at_the_sign_threshold(self):
         # +-1e-14 of the scale is zero; just above it the simplex is split
         mesh = unit_triangle()
@@ -417,6 +443,25 @@ class TestExactOperatorNorm:
         mesh = build_interval_partition(np.linspace(0.0, 1.0, 25))
         norm = exact_operator_norm(mesh).norm
         assert norm <= 3.0 + 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40))
+    @example(np.linspace(-6.0, 6.0, 40).tolist())  # geometric, ratio 1e12
+    @example([6.0, -6.0] * 20)  # alternating, ratio 1e12
+    def test_interval_norms_on_graded_partitions(self, log_lengths):
+        # segment lengths 10^x graded up to 1e12; in 1D every sign change of a
+        # dual function is a lone-vertex segment, integrated in closed form
+        mesh = build_interval_partition(np.cumsum([0.0] + [10.0**x for x in log_lengths]))
+        norm, witness, bound = exact_operator_norm(mesh)
+        assert norm <= 3.0
+        # data sign(integral of psi_witness) per segment projects to at least
+        # sum |integral_T psi_witness| at the witness, and to at most the norm
+        psi = solve_with_load(mesh, np.eye(mesh.n_vertices)[witness])[0]
+        cell = psi[mesh.simplices].mean(axis=1) * mesh.simplex_volumes
+        sup = project(mesh, np.where(cell < 0, -1.0, 1.0)).sup_norm
+        assert np.abs(cell).sum() <= sup * (1 + 1e-12)
+        assert sup <= norm * (1 + 1e-12)
+        assert norm <= bound * (1 + 1e-12)
 
     def test_norm_grows_on_shrinking_squares(self):
         mesh = build_counterexample_2d(3, 0.01)
