@@ -47,7 +47,6 @@ from .mesh import (
 from .projection import (
     CellwiseConstant,
     OperatorNorm,
-    ProjectionReport,
     Proposition1Result,
     SplineFunction,
     assemble_load,

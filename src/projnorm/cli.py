@@ -31,17 +31,24 @@ EXIT_INVALID = 2
 EXIT_SOLVE = 3
 EXIT_CHECK_FAILED = 4
 
+# Top-level keys of a project or norm report, in file order.
+_REPORT_KEYS = ("mesh", "nodal_values", "sup_norm", "residual",
+                "exact_operator_norm", "ainv_bound", "c0", "prop1_bound")
+
 
 def _parse_int_list(text):
-    """Accept '3', '1..8' (inclusive range) or '1,2,5'."""
+    """Accept '3', '1..8' (inclusive range, kept lazy) or '1,2,5'; never empty."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(p) for p in text.split(",") if p]
+        return range(lo, hi + 1)
+    values = [int(p) for p in text.split(",") if p]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
 
 
 def _parse_float_list(text):
@@ -137,10 +144,10 @@ def build_parser():
 
 
 def _write_report(report, path):
-    # One top-level key per line, each value in compact form: json.dumps
-    # without indent runs the C encoder, json.dump never does.
-    lines = (f"{json.dumps(key)}:{json.dumps(value, separators=(',', ':'))}"
-             for key, value in report.to_dict().items())
+    # One line per key of _REPORT_KEYS, null where unset, each value compact:
+    # json.dumps without indent runs the C encoder, json.dump never does.
+    lines = (f"{json.dumps(key)}:{json.dumps(report.get(key), separators=(',', ':'))}"
+             for key in _REPORT_KEYS)
     with open(path, "w") as fh:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
@@ -174,12 +181,8 @@ def cmd_project(args):
         f = proj.CellwiseConstant(np.asarray(args.values))
     x, residual = proj.solve_with_load(mesh, proj.assemble_load(mesh, f))
     sup = float(np.abs(x).max())
-    report = proj.ProjectionReport(
-        mesh_data=meshmod.mesh_to_dict(mesh),
-        nodal_values=x,
-        sup_norm=sup,
-        residual=residual,
-    )
+    report = {"mesh": meshmod.mesh_to_dict(mesh), "nodal_values": x.tolist(),
+              "sup_norm": sup, "residual": residual}
     _write_report(report, args.output)
     print(f"sup_norm: {sup:.12g}  residual: {residual:.3e}")
     print(f"wrote {args.output}")
@@ -201,13 +204,8 @@ def cmd_norm(args):
             f"satisfied: {result.satisfied}"
         )
     if args.output:
-        report = proj.ProjectionReport(
-            mesh_data=meshmod.mesh_to_dict(mesh),
-            exact_operator_norm=norm,
-            ainv_bound=bound,
-            c0=c0,
-            prop1_bound=prop1_bound,
-        )
+        report = {"mesh": meshmod.mesh_to_dict(mesh), "exact_operator_norm": norm,
+                  "ainv_bound": bound, "c0": c0, "prop1_bound": prop1_bound}
         _write_report(report, args.output)
         print(f"wrote {args.output}")
     return EXIT_OK

@@ -11,7 +11,7 @@ the limit systems and the parameter sweeps that exhibit the growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -243,24 +243,14 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
 
 
 def sweep_to_csv(records):
-    """CSV text for sweep records; floats carry 12 significant digits."""
+    """CSV text for sweep records, one column per SweepRecord field in field
+    order; integers are written whole and floats carry 12 significant digits."""
 
     def fmt(x):
-        return "" if x is None else format(float(x), ".12g")
+        if x is None:
+            return ""
+        return str(x) if isinstance(x, int) else format(float(x), ".12g")
 
-    lines = ["J,t,d,sup_norm,exact_operator_norm,limit_error,ainv_bound"]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.J),
-                    fmt(r.t),
-                    str(r.d),
-                    fmt(r.sup_norm),
-                    fmt(r.exact_operator_norm),
-                    fmt(r.limit_error),
-                    fmt(r.ainv_bound),
-                ]
-            )
-        )
+    lines = [",".join(f.name for f in fields(SweepRecord))]
+    lines += [",".join(map(fmt, astuple(r))) for r in records]
     return "\n".join(lines) + "\n"

@@ -544,7 +544,6 @@ class OrbitPartition:
     """
 
     orbits: list
-    generators: list
     orbit_of: np.ndarray
 
     @property
@@ -587,8 +586,7 @@ def symmetry_orbits(mesh, permutations):
     orbit_of = connected_components(edges, directed=False)[1].astype(np.int64)
     members = np.argsort(orbit_of, kind="stable")
     orbits = np.split(members, np.cumsum(np.bincount(orbit_of))[:-1])
-    return OrbitPartition(orbits=orbits, generators=[p.copy() for p in perms],
-                          orbit_of=orbit_of)
+    return OrbitPartition(orbits=orbits, orbit_of=orbit_of)
 
 
 def _sorted_simplices(simplices):

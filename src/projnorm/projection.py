@@ -10,7 +10,7 @@ Every solve goes through one sparse LU factorization of the symmetrically
 scaled S = D^{-1/2} M D^{-1/2} (D the diagonal of M), its columns in the
 symmetric minimum-degree order of S + S^T (MMD_AT_PLUS_A): S is symmetric,
 and on large meshes that order keeps about half the fill of the COLAMD
-default.  Every solve passes the normalized-residual gate of _gated_solve.
+default.  Every solve passes the normalized-residual gate of _mass_solver.
 The sup norm of the projector equals the largest L1 norm of a dual function,
 a row of M^{-1}; exact_operator_norm solves for the rows in blocks and never
 holds M^{-1} whole.  The same rows give the bound (d+2)/2 * ||A^{-1}||_inf
@@ -144,52 +144,52 @@ def normalized_system(mesh, f):
     return NormalizedSystem(A=A, b=b)
 
 
-def _scaled_factor(M):
-    # Factor S = D^{-1/2} M D^{-1/2}, not M: the entries of M span dozens of
-    # orders of magnitude on the shrinking-square meshes, while the eigenvalues
-    # of S lie in [1/2, (d+2)/2], so its factorization stays well conditioned.
-    s = 1.0 / np.sqrt(M.diagonal())
+def _mass_solver(M):
+    """Factor M once and return solve(b) -> (x, residual) for M x = b.
+
+    The factor is of S = D^{-1/2} M D^{-1/2}, not M: the entries of M span
+    dozens of orders of magnitude on the shrinking-square meshes, while the
+    eigenvalues of S lie in [1/2, (d+2)/2], so its factorization stays well
+    conditioned.  b is a vector or a block of columns; residual is the largest
+    ||D^{-1}(M x - b)||_inf / ||D^{-1} b||_inf over the columns, which unlike
+    max|M x - b| sees errors on the tiny inner rows of a graded mesh.  Above
+    RESIDUAL_RTOL solve raises SolveFailure.
+    """
+    diag = M.diagonal()
+    s = 1.0 / np.sqrt(diag)
     C = M.tocoo()
     S = sparse.csc_matrix((C.data * s[C.row] * s[C.col], (C.row, C.col)), shape=M.shape)
     try:
-        return splu(S, permc_spec="MMD_AT_PLUS_A"), s
+        lu = splu(S, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolveFailure(f"mass matrix factorization failed: {exc}") from exc
 
+    def solve(b):
+        sb, db = (s[:, None], diag[:, None]) if b.ndim == 2 else (s, diag)
+        x = sb * lu.solve(sb * b)
+        error = np.abs((M @ x - b) / db).max(axis=0)
+        scale = np.abs(b / db).max(axis=0)
+        residual = float(np.max(error / np.where(scale > 0, scale, 1.0)))
+        # written so that a NaN residual fails and a zero load passes
+        if not np.all(error <= RESIDUAL_RTOL * scale):
+            raise SolveFailure(
+                f"projection solve left normalized residual {residual:.3e} "
+                f"(allowed {RESIDUAL_RTOL:.0e})",
+                residual=residual,
+            )
+        return x, residual
 
-def _gated_solve(M, factor, b):
-    """Solve M x = b for a vector b, or for each column of a block b, with
-    factor = _scaled_factor(M).  Returns x and the largest normalized residual
-    ||D^{-1}(M x - b)||_inf / ||D^{-1} b||_inf over the columns; unlike
-    max|M x - b| it sees errors on the tiny inner rows of a graded mesh.
-    Above RESIDUAL_RTOL the solve raises SolveFailure."""
-    lu, s = factor
-    diag = M.diagonal()
-    if b.ndim == 2:
-        s, diag = s[:, None], diag[:, None]
-    x = s * lu.solve(s * b)
-    error = np.abs((M @ x - b) / diag).max(axis=0)
-    scale = np.abs(b / diag).max(axis=0)
-    residual = float(np.max(error / np.where(scale > 0, scale, 1.0)))
-    # written so that a NaN residual fails and a zero load passes
-    if not np.all(error <= RESIDUAL_RTOL * scale):
-        raise SolveFailure(
-            f"projection solve left normalized residual {residual:.3e} "
-            f"(allowed {RESIDUAL_RTOL:.0e})",
-            residual=residual,
-        )
-    return x, residual
+    return solve
 
 
 def solve_with_load(mesh, load):
-    """Solve M x = load; return x and its normalized residual (_gated_solve)."""
+    """Solve M x = load; return x and its normalized residual (_mass_solver)."""
     load = np.asarray(load, dtype=float)
     if load.shape != (mesh.n_vertices,):
         raise LengthMismatch(
             f"expected one load entry per vertex ({mesh.n_vertices}), got {load.shape}"
         )
-    M = assemble_mass(mesh)
-    return _gated_solve(M, _scaled_factor(M), load)
+    return _mass_solver(assemble_mass(mesh))(load)
 
 
 def project(mesh, f):
@@ -300,7 +300,7 @@ def exact_operator_norm(mesh):
     A^{-1} = M^{-1} D.
     """
     M = assemble_mass(mesh)
-    factor = _scaled_factor(M)
+    solve = _mass_solver(M)
     n = mesh.n_vertices
     step = max(1, _BLOCK_VALUES // mesh.simplices.size)
     diag = M.diagonal()
@@ -308,7 +308,7 @@ def exact_operator_norm(mesh):
     row_sum = 0.0
     for start in range(0, n, step):
         stop = min(start + step, n)
-        psi = _gated_solve(M, factor, np.eye(n, stop - start, -start))[0].T
+        psi = solve(np.eye(n, stop - start, -start))[0].T
         totals[start:stop] = _abs_integrals(mesh, psi)
         row_sum = max(row_sum, float((np.abs(psi) @ diag).max()))
     best = float(totals.max())
@@ -341,31 +341,3 @@ def proposition1_check(mesh, exact_norm):
     bound = (1.0 + 2.0 * c0) / c0**2
     return Proposition1Result(c0=c0, bound=bound, exact_norm=exact_norm,
                               satisfied=exact_norm <= bound + 1e-8)
-
-
-@dataclass
-class ProjectionReport:
-    """Everything a projection run reports; serializes to a JSON-ready dict."""
-
-    mesh_data: dict
-    nodal_values: np.ndarray | None = None
-    sup_norm: float | None = None
-    residual: float | None = None
-    exact_operator_norm: float | None = None
-    ainv_bound: float | None = None
-    c0: float | None = None
-    prop1_bound: float | None = None
-
-    def to_dict(self):
-        return {
-            "mesh": self.mesh_data,
-            "nodal_values": None
-            if self.nodal_values is None
-            else np.asarray(self.nodal_values, dtype=float).tolist(),
-            "sup_norm": self.sup_norm,
-            "residual": self.residual,
-            "exact_operator_norm": self.exact_operator_norm,
-            "ainv_bound": self.ainv_bound,
-            "c0": self.c0,
-            "prop1_bound": self.prop1_bound,
-        }

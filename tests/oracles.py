@@ -6,16 +6,21 @@ mapped onto the simplex (Duffy transform), absolute integrals of splines are
 approximated by centroid rules on fine self-similar subdivisions or computed
 simplex by simplex with a scalar recursion, witness norms are found by
 brute force over all cellwise sign patterns, the dual functions and the
-inverse-norm bound come from explicit dense inverses, and overlapping
-simplex interiors are found by one linear program per pair.
+inverse-norm bound come from explicit dense inverses, overlapping
+simplex interiors are found by one linear program per pair, and the
+projected witness on the shrinking-square meshes is solved in exact rational
+arithmetic.
 """
 
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+
+from projnorm import build_counterexample_2d
 
 
 def simplex_quadrature(d, n=8):
@@ -184,6 +189,55 @@ def brute_force_witness(mesh, mass_dense):
 def dense_dual_basis(M):
     """Nodal values of the dual functions, the rows of an explicit dense M^{-1}."""
     return np.linalg.inv(M.toarray())
+
+
+def rational_ring_witness(J, t):
+    """Exact ring values of the projected ring-alternating data on cx(J, t).
+
+    t is a Fraction.  Only the connectivity and the ring labels come from
+    build_counterexample_2d(J, float(t)): the vertices of ring j are the
+    exact points (+-t^j, +-t^j), the center is the origin, and a triangle
+    carries the data (-1)^r, r the largest ring among its vertices with the
+    center counting as ring J + 1.  M and F are assembled in Fractions in
+    closed form (area / 12 times 1 + delta, and area / 3 per vertex), the
+    columns of each ring are summed, and the rows of one ring, which must
+    agree exactly, give one equation of the (J+2)-unknown system, solved by
+    Gauss-Jordan elimination.  Returns the J + 2 values, ring 0 first and the
+    center last.
+    """
+    mesh = build_counterexample_2d(J, float(t))
+    ring, points = [], []
+    for v, (x, y) in enumerate(mesh.vertices):
+        label = mesh.labels[v]
+        j = J + 1 if label == "center" else int(label.split()[1])
+        scale = Fraction(0) if label == "center" else t**j
+        ring.append(j)
+        points.append((int(np.sign(x)) * scale, int(np.sign(y)) * scale))
+    k = J + 2
+    # row P: sum over ring r of M[P, Q] for Q in ring r, then F[P]
+    rows = [[Fraction(0)] * (k + 1) for _ in mesh.vertices]
+    for tri in mesh.simplices.tolist():
+        (x0, y0), (x1, y1), (x2, y2) = (points[v] for v in tri)
+        area = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
+        sign = 1 if max(ring[v] for v in tri) % 2 == 0 else -1
+        for p in tri:
+            rows[p][k] += sign * area / 3
+            for q in tri:
+                rows[p][ring[q]] += area / 12 * (2 if p == q else 1)
+    system = {}
+    for p, row in enumerate(rows):
+        if system.setdefault(ring[p], row) != row:
+            raise AssertionError(f"the rows of ring {ring[p]} differ")
+    A = [system[r] for r in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if A[r][c] != 0)
+        A[c], A[pivot] = A[pivot], A[c]
+        A[c] = [a / A[c][c] for a in A[c]]
+        for r in range(k):
+            factor = A[r][c]
+            if r != c and factor != 0:
+                A[r] = [a - factor * b for a, b in zip(A[r], A[c])]
+    return [row[k] for row in A]
 
 
 def inverse_norm_bound(mesh, mass_dense):

@@ -178,13 +178,13 @@ class TestNormCommand:
         # dual rows 22% too large leave a normalized residual of 0.22
         mesh_file = tmp_path / "mesh.json"
         run("mesh", "counterexample2d", "--J", "2", "--t", "0.1", "-o", str(mesh_file))
-        factor = projection._scaled_factor
+        factor = projection.splu
 
-        def perturbed(M):
-            lu, s = factor(M)
-            return types.SimpleNamespace(solve=lambda b: 1.22 * lu.solve(b)), s
+        def perturbed(*args, **kwargs):
+            lu = factor(*args, **kwargs)
+            return types.SimpleNamespace(solve=lambda b: 1.22 * lu.solve(b))
 
-        monkeypatch.setattr(projection, "_scaled_factor", perturbed)
+        monkeypatch.setattr(projection, "splu", perturbed)
         capsys.readouterr()
         assert run("norm", "--mesh", str(mesh_file)) == 3
         assert "normalized residual 2.200e-01" in capsys.readouterr().err
@@ -211,7 +211,8 @@ class TestNormCommand:
 
 
 class TestReportFile:
-    """The report files of project and norm hold exactly report.to_dict()."""
+    """The report files of project and norm hold every key of _REPORT_KEYS,
+    in order, with the values the command passed and null for the rest."""
 
     @pytest.fixture
     def written(self, tmp_path, monkeypatch):
@@ -236,10 +237,11 @@ class TestReportFile:
             assert run(command[0], "--mesh", str(mesh_file), *command[1:],
                        "-o", str(path)) == 0
         text = paths[0].read_text()
-        expected = reports[0].to_dict()
+        expected = {key: reports[0].get(key) for key in cli._REPORT_KEYS}
         loaded = json.loads(text)
         # dumping both compares key order at every level and every float's
         # repr, so bit-equal floats; null fields are kept
+        assert set(reports[0]) <= set(cli._REPORT_KEYS)
         assert json.dumps(loaded) == json.dumps(expected)
         assert None in loaded.values()
         assert loaded["mesh"] == mesh_to_dict(load_mesh(mesh_file))
@@ -285,6 +287,22 @@ class TestReproduceCommand:
     def test_limit_rejects_multiple_J(self, tmp_path):
         assert run("reproduce", "--limit", "--J", "1..3", "--t", "0.1",
                    "-o", str(tmp_path / "s.csv")) == 2
+
+    @pytest.mark.parametrize("J", [",", ""], ids=["comma", "blank"])
+    def test_empty_J_exits_2(self, tmp_path, capsys, J):
+        # an empty sweep would pass the theorem check without a single row
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as caught:
+            run("reproduce", "--theorem", "--J", J, "--t", "0.01", "-o", str(out))
+        assert caught.value.code == 2
+        assert "no values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_J_range_stops_at_the_underflow_guard(self, tmp_path, capsys):
+        # the range stays lazy: J = 1..62 run and J = 63 is refused
+        assert run("reproduce", "--theorem", "--J", "1..1000000000000", "--t", "0.01",
+                   "-o", str(tmp_path / "s.csv")) == 2
+        assert "J=63, t=0.01" in capsys.readouterr().err
 
     def test_pyramid(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,8 +1,10 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from projnorm import (
     InvalidParameter,
     MissingLabels,
@@ -108,9 +110,25 @@ class TestReduction:
         orbit_of = np.zeros(n, dtype=np.int64)
         for k, orb in enumerate(orbits):
             orbit_of[orb] = k
-        bad = OrbitPartition(orbits=orbits, generators=[], orbit_of=orbit_of)
+        bad = OrbitPartition(orbits=orbits, orbit_of=orbit_of)
         with pytest.raises(NotEquivariant):
             reduce_by_symmetry(system, bad)
+
+
+class TestRationalWitness:
+    """Criterion 1's witness values, from an exact rational solve at t = 1/100."""
+
+    @pytest.mark.parametrize("J, rounded", [(6, 12.4245), (7, 14.2000), (8, 15.9408)])
+    def test_float_projection_matches_exact_solve(self, J, rounded):
+        exact = oracles.rational_ring_witness(J, Fraction(1, 100))
+        sup = float(max(abs(x) for x in exact))
+        assert round(sup, 4) == rounded
+        mesh = build_counterexample_2d(J, 0.01)
+        g = project(mesh, oscillating_data(mesh))
+        assert abs(g.sup_norm - sup) <= 1e-13 * sup
+        ring = vertex_roles(mesh)[0]
+        expanded = np.array([float(x) for x in exact])[ring]
+        assert np.abs(g.nodal_values - expanded).max() <= 1e-13 * sup
 
 
 class TestLimitSystems:

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 import types
 
@@ -14,7 +13,6 @@ from projnorm import (
     CellwiseConstant,
     InvalidParameter,
     LengthMismatch,
-    ProjectionReport,
     SimplicialMesh,
     SolveFailure,
     SplineFunction,
@@ -26,7 +24,6 @@ from projnorm import (
     build_pyramid_partition,
     build_uniform_square,
     exact_operator_norm,
-    mesh_to_dict,
     normalized_system,
     oscillating_data,
     project,
@@ -173,20 +170,20 @@ class TestProjection:
 
     def test_singular_factorization_is_a_solve_failure(self):
         with pytest.raises(SolveFailure, match="factorization failed"):
-            projection._scaled_factor(scipy.sparse.csr_matrix(np.ones((2, 2))))
+            projection._mass_solver(scipy.sparse.csr_matrix(np.ones((2, 2))))
 
     @staticmethod
     def _inner_rings_too_large(monkeypatch):
         """cx J=8, t=0.01, with every solve 22% too large on ring 8 and the center."""
         mesh = build_counterexample_2d(8, 0.01)
         weight = np.where(vertex_roles(mesh)[0] >= 8, 1.22, 1.0)
-        factor = projection._scaled_factor
+        factor = projection.splu
 
-        def perturbed(M):
-            lu, s = factor(M)
-            return types.SimpleNamespace(solve=lambda b: (lu.solve(b).T * weight).T), s
+        def perturbed(*args, **kwargs):
+            lu = factor(*args, **kwargs)
+            return types.SimpleNamespace(solve=lambda b: (lu.solve(b).T * weight).T)
 
-        monkeypatch.setattr(projection, "_scaled_factor", perturbed)
+        monkeypatch.setattr(projection, "splu", perturbed)
         return mesh
 
     def test_residual_gate_sees_inner_rings(self, monkeypatch):
@@ -261,7 +258,7 @@ class TestDualBasis:
         # the rows exact_operator_norm integrates: the gated solve of unit columns
         M = assemble_mass(mesh)
         unit = np.eye(mesh.n_vertices)
-        psi, residual = projection._gated_solve(M, projection._scaled_factor(M), unit)
+        psi, residual = projection._mass_solver(M)(unit)
         assert residual <= projection.RESIDUAL_RTOL
         err = np.abs(M.toarray() @ psi - unit).max()
         assert err < 1e-9
@@ -550,18 +547,3 @@ class TestCouplingBound:
         assert proposition1_check(mesh, norm).exact_norm == norm
         assert not proposition1_check(mesh, 1e6).satisfied
 
-
-class TestReport:
-    def test_round_trips_through_json(self):
-        mesh = build_uniform_square(1)
-        report = ProjectionReport(
-            mesh_data=mesh_to_dict(mesh),
-            nodal_values=np.array([1.0, 2.0, 3.0, 4.0]),
-            sup_norm=4.0,
-            residual=1e-16,
-        )
-        data = json.loads(json.dumps(report.to_dict()))
-        assert data["sup_norm"] == 4.0
-        assert data["nodal_values"] == [1.0, 2.0, 3.0, 4.0]
-        assert data["exact_operator_norm"] is None
-        assert data["mesh"]["dim"] == 2
