@@ -20,6 +20,7 @@ from .mesh import (
     build_counterexample_2d,
     build_pyramid_partition,
     check_integer,
+    check_ring_parameters,
     symmetry_generators,
     symmetry_orbits,
     vertex_roles,
@@ -223,10 +224,14 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
 
     With with_norms=True the exact operator norm and the inverse-based bound
     are recorded as well (slower: every dual function of each mesh is
-    solved for and integrated).
+    solved for and integrated).  J_list is a sequence or a range: every J is
+    checked against the underflow guard, in order, before the first
+    projection, and a range is never listed.
     """
     if d < 2:
         raise InvalidParameter(f"growth sweeps are defined for d >= 2, got {d!r}")
+    for J in J_list:
+        check_ring_parameters(int(J), t)
     records = []
     for J in J_list:
         J = int(J)

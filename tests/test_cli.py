@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from projnorm import cli, load_mesh, mesh_to_dict, projection
+from projnorm import cli, counterexample, load_mesh, mesh_to_dict, projection
 
 
 def run(*argv):
@@ -301,6 +301,15 @@ class TestReproduceCommand:
     def test_huge_J_range_stops_at_the_underflow_guard(self, tmp_path, capsys):
         # the range stays lazy: J = 1..62 run and J = 63 is refused
         assert run("reproduce", "--theorem", "--J", "1..1000000000000", "--t", "0.01",
+                   "-o", str(tmp_path / "s.csv")) == 2
+        assert "J=63, t=0.01" in capsys.readouterr().err
+
+    def test_underflow_is_refused_before_any_projection(self, tmp_path, capsys, monkeypatch):
+        def project(*args):
+            raise AssertionError("projected before the underflow guard refused J=63")
+
+        monkeypatch.setattr(counterexample, "project", project)
+        assert run("reproduce", "--theorem", "--J", "1..70", "--t", "0.01",
                    "-o", str(tmp_path / "s.csv")) == 2
         assert "J=63, t=0.01" in capsys.readouterr().err
 

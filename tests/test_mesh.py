@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +34,7 @@ from projnorm import (
     vertex_roles,
     vertex_star,
 )
+from projnorm.mesh import _candidate_edges
 
 
 def unit_triangle():
@@ -260,6 +262,7 @@ class TestConformity:
             build_pyramid_partition(1, 0.3, 3),
             build_pyramid_partition(2, 0.2, 3),
             build_pyramid_partition(1, 0.3, 4),
+            build_pyramid_partition(3, 0.05, 5),
         ],
         ids=lambda m: f"d{m.dim}v{m.n_vertices}",
     )
@@ -306,8 +309,15 @@ class TestConformity:
 
     @pytest.mark.parametrize(
         "mesh",
-        [build_counterexample_2d(20, 0.01), build_pyramid_partition(6, 0.01, 3)],
-        ids=["cx-J20", "pyramid-d3-J6"],
+        [
+            build_counterexample_2d(20, 0.01),
+            build_counterexample_2d(40, 0.01),
+            build_counterexample_2d(60, 0.01),
+            build_pyramid_partition(6, 0.01, 3),
+            build_pyramid_partition(20, 0.01, 3),
+            build_pyramid_partition(10, 0.01, 4),
+        ],
+        ids=["cx-J20", "cx-J40", "cx-J60", "pyramid-d3-J6", "pyramid-d3-J20", "pyramid-d4-J10"],
     )
     def test_graded_meshes_have_no_false_overlaps(self, mesh):
         assert validate_conformity(mesh) == []
@@ -348,6 +358,50 @@ class TestConformity:
             found = "simplices 0 and 1 have overlapping interiors" in validate_conformity(mesh)
             assert found == overlap, (P, Q)
             verdicts.append(overlap)
+        assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+    def test_violations_come_in_index_order(self):
+        # the sweeps find pairs in coordinate order; the report stays in
+        # (simplex, vertex) and (i, j) order
+        base = build_uniform_square(6)
+        rng = np.random.default_rng(41)
+        verts = base.vertices + rng.uniform(-0.12, 0.12, base.vertices.shape)
+        violations = validate_conformity(SimplicialMesh(verts, base.simplices))
+        ids = [[int(k) for k in re.findall(r"\d+", v)] for v in violations]
+        nodes = [(a, b) for v, (b, a) in zip(violations, ids) if v.startswith("vertex")]
+        pairs = [(a, b) for v, (a, b) in zip(violations, ids) if v.startswith("simplices")]
+        assert len(nodes) >= 2 and len(pairs) >= 5
+        assert nodes == sorted(nodes) and pairs == sorted(pairs)
+        assert all(i < j for i, j in pairs)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_shared_vertex_pairs_match_lp_oracle(self, d):
+        # Q shares P's first s vertices, listed in a shuffled order; only pairs
+        # with a clear margin count: scaling Q's other vertices by 0.9 and by
+        # 1.1 about the shared face's centroid must give the same LP verdict
+        rng = np.random.default_rng(700 + d)
+        verdicts = []
+        for s in range(1, d):
+            assert len(_candidate_edges(d, s)[0]) == math.comb(2 * (d + 1 - s), d - s)
+            for _ in range(20):
+                P = random_simplex_vertices(rng, d)
+                while True:
+                    new = rng.uniform(-1.0, 1.0, (d + 1 - s, d)) + rng.uniform(-1.0, 1.0, d)
+                    Q = np.vstack([P[:s], new])
+                    if abs(np.linalg.det(Q[1:] - Q[0])) / math.factorial(d) >= 0.05:
+                        break
+                c = P[:s].mean(axis=0)
+                overlap = lp_interiors_overlap(P, Q)
+                if lp_interiors_overlap(P, np.vstack([P[:s], c + 0.9 * (new - c)])) != (
+                    lp_interiors_overlap(P, np.vstack([P[:s], c + 1.1 * (new - c)]))
+                ):
+                    continue
+                q_ids = [*range(s), *range(d + 1, 2 * d + 2 - s)]
+                rng.shuffle(q_ids)
+                mesh = SimplicialMesh(np.vstack([P, new]), [range(d + 1), q_ids])
+                found = "simplices 0 and 1 have overlapping interiors" in validate_conformity(mesh)
+                assert found == overlap, (s, P, Q)
+                verdicts.append(overlap)
         assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
 
     def test_memory_is_blocked(self):
