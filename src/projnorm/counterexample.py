@@ -224,12 +224,13 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
 
     With with_norms=True the exact operator norm and the inverse-based bound
     are recorded as well (slower: every dual function of each mesh is
-    solved for and integrated).  J_list is a sequence or a range: every J is
-    checked against the underflow guard, in order, before the first
-    projection, and a range is never listed.
+    solved for and integrated).  Every J is checked against the underflow
+    guard, in order, before the first projection; a range is never listed,
+    any other iterable is read once into a list.
     """
     if d < 2:
         raise InvalidParameter(f"growth sweeps are defined for d >= 2, got {d!r}")
+    J_list = J_list if isinstance(J_list, range) else list(J_list)
     for J in J_list:
         check_ring_parameters(int(J), t)
     records = []

@@ -8,12 +8,12 @@ are pure functions of their arguments.
 Besides generic helpers (volumes, stars, angle statistics, conformity
 validation, symmetry orbits) the module provides the partition families used
 throughout the package.  Conformity validation is numpy passes over blocks of
-bounding-box candidates, found by a sort-and-sweep along one axis: face owner
-counts, hanging nodes by batched barycentric solves, and, for simplex pairs
-sharing s < d vertices, an exact separating-hyperplane test.  Such a
-hyperplane contains the shared face, so pairs with s >= 1 try only the
-C(2(d+1-s), d-s) normals through it (15 or 4 in 3D), and vertex-disjoint
-pairs every facet normal of P - Q (44 in 3D, 862 in 5D).  The families are:
+bounding-box candidates: face owner counts, hanging nodes by batched
+barycentric solves, and, for simplex pairs sharing s < d vertices, an exact
+separating-hyperplane test.  Such a hyperplane contains the shared face, so
+pairs with s >= 1 try only the C(2(d+1-s), d-s) normals through it (15 or 4
+in 3D), and vertex-disjoint pairs every facet normal of P - Q (44 in 3D, 862
+in 5D).  The families are:
 
 * ``build_counterexample_2d`` -- a square triangulated along a geometric
   sequence of shrinking concentric squares ("rings"),
@@ -390,7 +390,7 @@ def _row_blocks(n_rows, row_size):
     return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
-def _candidate_edges(d, s=0):
+def _candidate_edges(d, s):
     """Tail and head indices of the d-1 edges spanning each candidate normal.
 
     Indices refer to the 2(d+1) stacked vertices of a pair, P's then Q's.
@@ -422,7 +422,7 @@ def _candidate_edges(d, s=0):
             np.array(heads, dtype=np.intp).reshape(shape))
 
 
-def _interiors_overlap(P, Q, s=0):
+def _interiors_overlap(P, Q, s):
     """Which simplex pairs (P[k], Q[k]), each (K, d+1, d), share interior points.
 
     Two simplices have disjoint interiors iff some hyperplane weakly separates
@@ -461,83 +461,6 @@ def _interiors_overlap(P, Q, s=0):
     return overlap
 
 
-def _range_pairs(begin, end):
-    """Blocks of index pairs (a, b) with begin[a] <= b < end[a], a ascending.
-
-    A block holds at most _BLOCK_ELEMENTS pairs, or the pairs of one a.
-    """
-    counts = end - begin
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    a = 0
-    while a < len(counts):
-        z = max(a + 1, int(np.searchsorted(bounds, bounds[a] + _BLOCK_ELEMENTS, "right")) - 1)
-        shift = np.repeat(begin[a:z] - bounds[a:z], counts[a:z])
-        yield np.repeat(np.arange(a, z), counts[a:z]), np.arange(bounds[a], bounds[z]) + shift
-        a = z
-
-
-def _sorted_pairs(pairs, n):
-    """Concatenate blocks of (a, b) index pairs, b < n, ordered by a, then b."""
-    a, b = (np.concatenate(x) for x in zip(*pairs))
-    ab = np.argsort(a * n + b)
-    return a[ab], b[ab]
-
-
-def _points_in_boxes(points, lo, hi):
-    """Pairs (k, v) with lo[k] <= points[v] <= hi[k] on every axis, by k, then v.
-
-    The points are swept in order along the axis that leaves the fewest
-    candidates, so the work is near-linear on a mesh, not O(len(lo) * n).
-    """
-    n, d = points.shape
-    order = np.argsort(points, axis=0, kind="stable")
-    keys = np.take_along_axis(points, order, axis=0)
-    begin = np.stack([np.searchsorted(keys[:, x], lo[:, x]) for x in range(d)], axis=1)
-    end = np.stack([np.searchsorted(keys[:, x], hi[:, x], "right") for x in range(d)], axis=1)
-    x = int(np.argmin((end - begin).sum(axis=0)))
-    order = order[:, x]
-    # one contiguous row per axis: the points in sweep order, the boxes as given
-    swept, lo, hi = points[order].T.copy(), lo.T.copy(), hi.T.copy()
-    hits = []
-    for k, at in _range_pairs(begin[:, x], end[:, x]):
-        inside = np.ones(len(k), dtype=bool)
-        for y in range(d):
-            p = swept[y][at]
-            inside &= (p >= lo[y][k]) & (p <= hi[y][k])
-        hits.append((k[inside], order[at[inside]]))
-    return _sorted_pairs(hits, n)
-
-
-def _box_pairs(mins, maxs, slack):
-    """Pairs i < j of boxes that meet within slack, by i, then j.
-
-    Box i meets box j when mins[i] <= maxs[j] + slack[i] and mins[j] <=
-    maxs[i] + slack[j] on every axis.  A sort-and-sweep over the boxes widened
-    by the largest slack, along the axis with the fewest overlaps, yields a
-    superset of the pairs, and the exact test on every axis filters it.
-    """
-    m, d = mins.shape
-    wide = slack.max(axis=0)
-    start, stop = mins - wide, maxs + wide
-    order = np.argsort(start, axis=0, kind="stable")
-    keys = np.take_along_axis(start, order, axis=0)
-    # sweep position a overlaps positions a+1 .. ends[a]-1
-    ends = np.stack([np.searchsorted(keys[:, x], stop[order[:, x], x], "right")
-                     for x in range(d)], axis=1)
-    x = int(np.argmin(ends.sum(axis=0)))
-    # one contiguous row per axis, the boxes in sweep order
-    order = order[:, x]
-    lo, hi, tol = (z[order].T.copy() for z in (mins, maxs, slack))
-    pairs = []
-    for a, b in _range_pairs(np.arange(1, m + 1), ends[:, x]):
-        meet = np.ones(len(a), dtype=bool)
-        for y in range(d):
-            meet &= (lo[y][a] <= hi[y][b] + tol[y][a]) & (lo[y][b] <= hi[y][a] + tol[y][b])
-        i, j = order[a[meet]], order[b[meet]]
-        pairs.append((np.minimum(i, j), np.maximum(i, j)))
-    return _sorted_pairs(pairs, m)
-
-
 def _face_sides(face, point):
     """Sign of det[face[1:] - face[0]; point - face[0]] per row; face is (K, d, d)."""
     edges = np.concatenate([face[:, 1:], point[:, None]], axis=1) - face[:, :1]
@@ -553,9 +476,8 @@ def validate_conformity(mesh):
     or folded simplex pairs, and pairs with overlapping interiors.  Pairs of
     simplices are candidates only when their bounding boxes meet; pairs that
     share fewer than d vertices go through an exact separating-hyperplane
-    test, one call per shared-vertex count.  Boxes are swept along one axis
-    in blocks, so memory grows with the block size and the number of meeting
-    pairs, not with m**2.  Violations come in index order.
+    test, one call per shared-vertex count.  Memory stays O(block * m):
+    boxes are compared in row blocks.
     """
     violations = []
     d = mesh.dim
@@ -577,7 +499,14 @@ def validate_conformity(mesh):
     slack = _TOUCH_RTOL * extent
     lo = mins - slack
     hi = maxs + slack
-    s, v = _points_in_boxes(verts, lo, hi)
+    hits = []
+    for rows in _row_blocks(m, n * d):
+        inside = np.ones((rows.stop - rows.start, n), dtype=bool)
+        for x in range(d):
+            inside &= (verts[:, x] >= lo[rows, None, x]) & (verts[:, x] <= hi[rows, None, x])
+        s, v = np.nonzero(inside)
+        hits.append((s + rows.start, v))
+    s, v = (np.concatenate(a) for a in zip(*hits))
     foreign = ~(simplices[s] == v[:, None]).any(axis=1)
     s, v = s[foreign], v[foreign]
     origin = corners[s, 0]
@@ -588,7 +517,17 @@ def validate_conformity(mesh):
         violations.append(f"vertex {b} lies on simplex {a} without being one of its vertices")
 
     # pairwise checks on bounding-box colliding pairs i < j
-    i, j = _box_pairs(mins, maxs, slack)
+    pairs = []
+    for rows in _row_blocks(m, m * d):
+        rest = slice(rows.start, m)
+        meet = np.ones((rows.stop - rows.start, m - rows.start), dtype=bool)
+        for x in range(d):
+            meet &= mins[rows, None, x] <= maxs[rest, x] + slack[rows, None, x]
+            meet &= mins[rest, x] <= maxs[rows, None, x] + slack[rest, x]
+        i, j = np.nonzero(meet)
+        keep = j > i
+        pairs.append((i[keep] + rows.start, j[keep] + rows.start))
+    i, j = (np.concatenate(a) for a in zip(*pairs))
     same = simplices[i][:, :, None] == simplices[j][:, None, :]   # (K, d+1, d+1)
     in_j, in_i = same.any(axis=2), same.any(axis=1)
     shared = in_j.sum(axis=1)
@@ -602,14 +541,14 @@ def validate_conformity(mesh):
     sides = _face_sides(common, lone_i) * _face_sides(common, lone_j)
     kind[np.flatnonzero(fold)[sides >= 0]] = 2
 
-    # one kernel call per shared-vertex count s < d, each pair's shared
-    # vertices first and by id in both simplices (a stable sort keeps the
-    # rest in place, so s = 0 pairs are untouched)
+    # one kernel call per shared-vertex count s < d; for s >= 1 each pair's
+    # shared vertices come first and by id in both simplices
     for s in np.unique(shared[shared < d]).tolist():
         k = np.flatnonzero(shared == s)
         a, b = simplices[i[k]], simplices[j[k]]
-        a = np.take_along_axis(a, np.argsort(np.where(in_j[k], a, n), axis=1, kind="stable"), 1)
-        b = np.take_along_axis(b, np.argsort(np.where(in_i[k], b, n), axis=1, kind="stable"), 1)
+        if s:
+            a = np.take_along_axis(a, np.argsort(np.where(in_j[k], a, n), axis=1), 1)
+            b = np.take_along_axis(b, np.argsort(np.where(in_i[k], b, n), axis=1), 1)
         kind[k[_interiors_overlap(verts[a], verts[b], s)]] = 3
 
     messages = (

@@ -231,6 +231,10 @@ class TestSweeps:
             assert r.sup_norm >= 2 * r.J
             assert r.limit_error is None
 
+    def test_growth_sweep_reads_an_iterator_once(self):
+        records = growth_sweep(iter([1, 2]), 0.01)
+        assert [r.J for r in records] == [1, 2]
+
     def test_growth_sweep_with_norms(self):
         records = growth_sweep([1, 2], 0.1, with_norms=True)
         for r in records:

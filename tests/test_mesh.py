@@ -361,8 +361,7 @@ class TestConformity:
         assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
 
     def test_violations_come_in_index_order(self):
-        # the sweeps find pairs in coordinate order; the report stays in
-        # (simplex, vertex) and (i, j) order
+        # hanging nodes come in (simplex, vertex) order, pairs in (i, j) order
         base = build_uniform_square(6)
         rng = np.random.default_rng(41)
         verts = base.vertices + rng.uniform(-0.12, 0.12, base.vertices.shape)
