@@ -27,9 +27,12 @@ from .mesh import (
 )
 from .projection import (
     CellwiseConstant,
-    exact_operator_norm,
+    SplineFunction,
+    _mass_solver,
+    _operator_norm,
+    assemble_load,
+    assemble_mass,
     normalized_system,
-    project,
 )
 
 # Orbit rows must agree to this absolute tolerance before a system is
@@ -223,8 +226,9 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
     """Project the oscillating witness for each J and record the sup norms.
 
     With with_norms=True the exact operator norm and the inverse-based bound
-    are recorded as well (slower: every dual function of each mesh is
-    solved for and integrated).  Every J is checked against the underflow
+    are recorded as well (slower: every dual function of each mesh is solved
+    for).  Each mesh's mass matrix is assembled and factored once, for the
+    projection and the norm.  Every J is checked against the underflow
     guard, in order, before the first projection; a range is never listed,
     any other iterable is read once into a list.
     """
@@ -233,19 +237,22 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
     J_list = J_list if isinstance(J_list, range) else list(J_list)
     for J in J_list:
         check_ring_parameters(int(J), t)
-    records = []
-    for J in J_list:
-        J = int(J)
-        if d == 2:
-            mesh = build_counterexample_2d(J, float(t))
-        else:
-            mesh = build_pyramid_partition(J, float(t), d)
-        g = project(mesh, oscillating_data(mesh))
-        rec = SweepRecord(J=J, t=float(t), d=d, sup_norm=g.sup_norm)
-        if with_norms:
-            rec.exact_operator_norm, _, rec.ainv_bound = exact_operator_norm(mesh)
-        records.append(rec)
-    return records
+    return [_sweep_record(int(J), float(t), d, with_norms) for J in J_list]
+
+
+def _sweep_record(J, t, d, with_norms):
+    """One growth_sweep record; its factorization is freed when it returns."""
+    if d == 2:
+        mesh = build_counterexample_2d(J, t)
+    else:
+        mesh = build_pyramid_partition(J, t, d)
+    M = assemble_mass(mesh)
+    solve = _mass_solver(M)
+    g = SplineFunction(solve(assemble_load(mesh, oscillating_data(mesh)))[0])
+    rec = SweepRecord(J=J, t=t, d=d, sup_norm=g.sup_norm)
+    if with_norms:
+        rec.exact_operator_norm, _, rec.ainv_bound = _operator_norm(mesh, M, solve)
+    return rec
 
 
 def sweep_to_csv(records):

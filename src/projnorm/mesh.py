@@ -495,10 +495,10 @@ def validate_conformity(mesh):
     corners = verts[simplices]
     mins = corners.min(axis=1)
     maxs = corners.max(axis=1)
-    extent = np.maximum(maxs - mins, 1e-30)
-    slack = _TOUCH_RTOL * extent
-    lo = mins - slack
-    hi = maxs + slack
+    # relative to each simplex's own size, so graded meshes stay scale-free
+    slack = _TOUCH_RTOL * (maxs - mins).max(axis=1)
+    lo = mins - slack[:, None]
+    hi = maxs + slack[:, None]
     hits = []
     for rows in _row_blocks(m, n * d):
         inside = np.ones((rows.stop - rows.start, n), dtype=bool)
@@ -522,8 +522,8 @@ def validate_conformity(mesh):
         rest = slice(rows.start, m)
         meet = np.ones((rows.stop - rows.start, m - rows.start), dtype=bool)
         for x in range(d):
-            meet &= mins[rows, None, x] <= maxs[rest, x] + slack[rows, None, x]
-            meet &= mins[rest, x] <= maxs[rows, None, x] + slack[rest, x]
+            meet &= mins[rows, None, x] <= maxs[rest, x] + slack[rows, None]
+            meet &= mins[rest, x] <= maxs[rows, None, x] + slack[rest]
         i, j = np.nonzero(meet)
         keep = j > i
         pairs.append((i[keep] + rows.start, j[keep] + rows.start))

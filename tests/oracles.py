@@ -302,6 +302,24 @@ def jittered_square_vertices(rng, n, amplitude=0.25):
     return verts + rng.uniform(-amplitude / n, amplitude / n, size=verts.shape) * 0.3
 
 
+def random_stellar_mesh(rng, d, splits, max_grading=1e3):
+    """Vertices and simplices of a random d-simplex refined by stellar splits.
+
+    Each split cuts a random simplex of the mesh at an interior point into
+    its d + 1 cones, which keeps the mesh conforming; the point's barycentric
+    weights spread over max_grading, so the pieces can be graded.
+    """
+    vertices = list(random_simplex_vertices(rng, d))
+    simplices = [list(range(d + 1))]
+    for _ in range(splits):
+        simplex = simplices.pop(int(rng.integers(len(simplices))))
+        weights = 10.0 ** rng.uniform(-math.log10(max_grading), 0.0, d + 1)
+        vertices.append(weights @ np.asarray(vertices)[simplex] / weights.sum())
+        p = len(vertices) - 1
+        simplices += [simplex[:k] + [p] + simplex[k + 1:] for k in range(d + 1)]
+    return np.asarray(vertices), simplices
+
+
 def random_simplex_vertices(rng, d, min_volume=0.05):
     """Coordinates of a single nondegenerate d-simplex."""
     while True:

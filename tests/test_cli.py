@@ -300,10 +300,10 @@ class TestReproduceCommand:
 
     def test_huge_J_range_stops_at_the_underflow_guard(self, tmp_path, capsys, monkeypatch):
         # the range stays lazy and J = 63 is refused before any J is projected
-        def project(*args):
+        def assemble_mass(*args):
             raise AssertionError("projected before the underflow guard refused J=63")
 
-        monkeypatch.setattr(counterexample, "project", project)
+        monkeypatch.setattr(counterexample, "assemble_mass", assemble_mass)
         assert run("reproduce", "--theorem", "--J", "1..1000000000000", "--t", "0.01",
                    "-o", str(tmp_path / "s.csv")) == 2
         assert "J=63, t=0.01" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
+from projnorm import counterexample, projection
 from projnorm import (
     InvalidParameter,
     MissingLabels,
@@ -242,6 +244,26 @@ class TestSweeps:
             assert r.ainv_bound is not None
             assert r.sup_norm <= r.exact_operator_norm + 1e-9
             assert r.exact_operator_norm <= r.ainv_bound + 1e-9
+
+    def test_one_factorization_per_mesh(self, monkeypatch):
+        # the sweep projects and takes the norm with one factored mass matrix
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        assemble = counted("assemble_mass", projection.assemble_mass)
+        monkeypatch.setattr(projection, "assemble_mass", assemble)
+        monkeypatch.setattr(counterexample, "assemble_mass", assemble)
+        monkeypatch.setattr(projection, "splu", counted("splu", projection.splu))
+        growth_sweep([3, 4], 0.01, with_norms=True)
+        assert calls == {"assemble_mass": 2, "splu": 2}
+        calls.clear()
+        exact_operator_norm(build_counterexample_2d(3, 0.01))
+        assert calls == {"assemble_mass": 1, "splu": 1}
 
     def test_growth_sweep_pyramid_increases(self):
         records = growth_sweep(range(2, 7), 0.01, d=3)

@@ -34,6 +34,7 @@ from projnorm import (
     vertex_roles,
     vertex_star,
 )
+from projnorm import mesh as meshmod
 from projnorm.mesh import _candidate_edges
 
 
@@ -415,6 +416,25 @@ class TestConformity:
             tracemalloc.stop()
         assert violations == []
         assert peak < 100e6
+
+    def test_box_slack_is_relative_to_each_simplex(self, monkeypatch):
+        # the inner rings of cx J=60 are down to 1e-120 across; an absolute
+        # floor on the box extent made them all meet each other, and 50,642
+        # pairs reached the kernel instead of 2,866
+        mesh = build_counterexample_2d(60, 0.01)
+        kernel = meshmod._interiors_overlap
+        pairs = []
+
+        def counted(P, Q, s):
+            pairs.append(len(P))
+            return kernel(P, Q, s)
+
+        monkeypatch.setattr(meshmod, "_interiors_overlap", counted)
+        assert validate_conformity(mesh) == []
+        assert sum(pairs) < 3000
+        tiny = SimplicialMesh(build_uniform_square(12).vertices * 1e-40,
+                              build_uniform_square(12).simplices)
+        assert validate_conformity(tiny) == []
 
     def test_import_leaves_out_scipy_optimize(self):
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

@@ -343,6 +343,20 @@ def _hard_rows(mesh, rng, count=40):
     return rows
 
 
+def _assert_across_blocks(mesh, monkeypatch, totals, M):
+    """exact_operator_norm in blocks of one row, of a few rows and of every
+    row at once against the integrals of every dual row and the dense bound."""
+    norm = totals.max()
+    witness = int(np.argmax(totals >= norm * (1 - 1e-12)))
+    bound = oracles.inverse_norm_bound(mesh, M.toarray())
+    for rows in (1, 3, mesh.n_vertices):
+        monkeypatch.setattr(projection, "_BLOCK_VALUES", rows * mesh.simplices.size)
+        result = exact_operator_norm(mesh)
+        assert result.norm == pytest.approx(norm, rel=BATCH_RTOL)
+        assert result.witness == witness
+        assert result.ainv_bound == pytest.approx(bound, rel=BATCH_RTOL)
+
+
 class TestBatchedAgainstRecursion:
     @pytest.mark.parametrize("mesh", list(_batch_meshes()),
                              ids=lambda m: f"d{m.dim}-m{m.n_simplices}")
@@ -358,19 +372,10 @@ class TestBatchedAgainstRecursion:
     @pytest.mark.parametrize("mesh", list(_batch_meshes())[:5],
                              ids=lambda m: f"d{m.dim}-m{m.n_simplices}")
     def test_dual_rows_across_blocks(self, mesh, monkeypatch):
-        # blocks of one row, of a few rows, and of every row at once
         M = assemble_mass(mesh)
         totals = np.array([oracles.recursive_abs_integral(mesh, row)
                            for row in oracles.dense_dual_basis(M)])
-        norm = totals.max()
-        witness = int(np.argmax(totals >= norm * (1 - 1e-12)))
-        bound = oracles.inverse_norm_bound(mesh, M.toarray())
-        for rows in (1, 3, mesh.n_vertices):
-            monkeypatch.setattr(projection, "_BLOCK_VALUES", rows * mesh.simplices.size)
-            result = exact_operator_norm(mesh)
-            assert result.norm == pytest.approx(norm, rel=BATCH_RTOL)
-            assert result.witness == witness
-            assert result.ainv_bound == pytest.approx(bound, rel=BATCH_RTOL)
+        _assert_across_blocks(mesh, monkeypatch, totals, M)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_lone_vertex_at_extreme_scales(self, d):
@@ -477,6 +482,83 @@ class TestExactOperatorNorm:
         assert witness == 0
         assert norm == pytest.approx(3.002075824636801, rel=1e-12)
         assert spline_abs_integral(mesh, psi[4]) == pytest.approx(19 / 8, rel=1e-12)
+
+
+class TestRowPruning:
+    # (norm, witness, ainv_bound) at t = 0.01, as computed before rows were
+    # pruned; float.hex pins every bit
+    PINNED = {
+        "cx-J20": ("0x1.1a2acb039ad82p+5", 84, "0x1.28555cb94a2a7p+5"),
+        "pyramid-d4-J10": ("0x1.ef90bba51c0c4p+4", 44, "0x1.1b33874dc87abp+5"),
+    }
+    MESHES = {
+        "cx-J20": lambda: build_counterexample_2d(20, 0.01),
+        "pyramid-d4-J10": lambda: build_pyramid_partition(10, 0.01, 4),
+    }
+
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_bit_identical_to_unpruned_values(self, name):
+        norm, witness, bound = exact_operator_norm(self.MESHES[name]())
+        assert (norm.hex(), witness, bound.hex()) == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", list(MESHES))
+    def test_matches_unpruned_rows_across_blocks(self, name, monkeypatch):
+        # every row of a dense M^{-1} integrated, none pruned
+        mesh = self.MESHES[name]()
+        M = assemble_mass(mesh)
+        totals = projection._abs_integrals(mesh, oracles.dense_dual_basis(M))
+        _assert_across_blocks(mesh, monkeypatch, totals, M)
+
+    def test_pruning_fires(self, monkeypatch):
+        # blocks of 16 rows; the seed block, rows 80-84 with the center 84,
+        # is integrated whole, and the center row's integral prunes every row
+        # of the other blocks
+        mesh = build_counterexample_2d(20, 0.01)
+        integrate = projection._abs_integrals
+        integrated = []
+
+        def counted(mesh, rows):
+            integrated.append(len(rows))
+            return integrate(mesh, rows)
+
+        monkeypatch.setattr(projection, "_abs_integrals", counted)
+        exact_operator_norm(mesh)
+        assert integrated == [5]
+
+    def test_rows_in_the_tie_band_are_integrated(self, monkeypatch):
+        # integrals replaced by their certificates U_P, the tightest values
+        # they may take.  Lowering corner 12 of the 3 x 3 grid makes it the
+        # seed (smallest M_PP) with the largest U_P, and leaves corner 3 about
+        # 5e-13 below it: a tie, so vertex 3 is the witness, and its row must
+        # be integrated although its bound is below the best integral
+        square = build_uniform_square(3)
+        vertices = square.vertices.copy()
+        vertices[12, 1] -= 9e-12
+        mesh = SimplicialMesh(vertices, square.simplices)
+        diag = assemble_mass(mesh).diagonal()
+        monkeypatch.setattr(projection, "_abs_integrals",
+                            lambda mesh, rows: 2.0 * (np.abs(rows) @ diag))
+        bounds = 2.0 * (np.abs(oracles.dense_dual_basis(assemble_mass(mesh))) @ diag)
+        assert np.argmin(diag) == 12 and np.argmax(bounds) == 12
+        assert 1e-13 < 1 - bounds[3] / bounds[12] < 1e-12
+        for rows in (1, 3, mesh.n_vertices):
+            monkeypatch.setattr(projection, "_BLOCK_VALUES", rows * mesh.simplices.size)
+            norm, witness, bound = exact_operator_norm(mesh)
+            assert witness == 3
+            assert norm == pytest.approx(bound, rel=1e-15)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_certificate_bounds_every_dual_integral(self, d, splits, seed):
+        # U_P = (d+2)/2 sum_Q |psi_P(Q)| M_QQ >= integral |psi_P| on graded
+        # stellar refinements, with the integrals from the recursive oracle
+        vertices, simplices = oracles.random_stellar_mesh(np.random.default_rng(seed), d, splits)
+        mesh = SimplicialMesh(vertices, simplices)
+        M = assemble_mass(mesh)
+        psi = oracles.dense_dual_basis(M)
+        bounds = 0.5 * (d + 2) * (np.abs(psi) @ M.diagonal())
+        for row, bound in zip(psi, bounds):
+            assert oracles.recursive_abs_integral(mesh, row) <= bound * (1 + projection._PRUNE_RTOL)
 
 
 class TestNormBounds:
