@@ -45,14 +45,19 @@ def _parse_int_list(text):
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return range(lo, hi + 1)
-    values = [int(p) for p in text.split(",") if p]
-    if not values:
-        raise argparse.ArgumentTypeError(f"no values in {text!r}")
-    return values
+    return _comma_list(text, int)
 
 
 def _parse_float_list(text):
-    return [float(p) for p in text.split(",") if p]
+    return _comma_list(text, float)
+
+
+def _comma_list(text, kind):
+    """The comma-separated values of text read by kind; never empty."""
+    values = [kind(p) for p in text.split(",") if p]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
 
 
 # A negative number or number list such as "-0.5,0.25".  No option of the
@@ -240,6 +245,7 @@ def cmd_reproduce(args):
         return EXIT_OK
 
     # --pyramid
+    meshmod.check_integer(args.d, 3, f"pyramid partitions need d >= 3, got {args.d!r}")
     t = _single(args.t, "--t")
     records = ce.growth_sweep(args.J, t, d=args.d, with_norms=args.with_norms)
     _write_csv(records, args.output)
@@ -278,10 +284,7 @@ def main(argv=None):
     except SolveFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE
-    except ProjNormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ProjNormError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

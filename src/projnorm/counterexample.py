@@ -5,8 +5,10 @@ The oscillating witness assigns the value (-1)^j to every simplex of ring j
 ring J+1).  Projecting it produces nodal values that alternate and grow
 linearly in the ring index; as t -> 0 the normalized Galerkin system,
 collapsed onto the rotation orbits, converges to an explicit bidiagonal limit
-system whose solution has sup norm 2J+1.  This module builds the reductions,
-the limit systems and the parameter sweeps that exhibit the growth.
+system whose solution has sup norm 2J+1.  The pyramid joins converge to the
+same system plus one apex unknown, coupled to every row by (d-2)/2, so the 2D
+limit is the pyramid limit at d = 2.  This module builds the reductions, the
+limit systems and the parameter sweeps that exhibit the growth.
 """
 
 from __future__ import annotations
@@ -54,19 +56,25 @@ def oscillating_data(mesh):
 
 
 @dataclass(frozen=True)
-class ReducedSystem:
-    """Orbit-collapsed linear system; expand() maps solutions back to vertices."""
+class LimitSystem:
+    """A square linear system matrix @ x = rhs; solve() returns x."""
 
     matrix: np.ndarray
     rhs: np.ndarray
+
+    def solve(self):
+        return np.linalg.solve(self.matrix, self.rhs)
+
+
+@dataclass(frozen=True)
+class ReducedSystem(LimitSystem):
+    """Orbit-collapsed normalized system; expand() maps solutions back to vertices."""
+
     orbit_of: np.ndarray
 
     @property
     def n_orbits(self):
         return self.rhs.shape[0]
-
-    def solve(self):
-        return np.linalg.solve(self.matrix, self.rhs)
 
     def expand(self, reduced_solution):
         return np.asarray(reduced_solution)[self.orbit_of]
@@ -76,54 +84,41 @@ def reduce_by_symmetry(system, orbits):
     """Collapse a normalized system onto vertex orbits.
 
     Column sums pool the couplings into each orbit; the rows of members of one
-    orbit must then coincide (as must their right-hand sides), otherwise the
-    system is not equivariant under the group and NotEquivariant is raised.
+    orbit must then coincide with the row of its first (smallest) member, as
+    must their right-hand sides, otherwise the system is not equivariant under
+    the group and NotEquivariant is raised for the smallest failing orbit
+    (rows are checked before right-hand sides).
     """
     A, b = system.A, system.b
-    k = orbits.n_orbits
-    n = b.shape[0]
-    S = np.zeros((n, k))
-    for r, orb in enumerate(orbits.orbits):
-        S[orb, r] = 1.0
-    collapsed = A @ S
-    matrix = np.empty((k, k))
-    rhs = np.empty(k)
-    for r, orb in enumerate(orbits.orbits):
-        rows = collapsed[orb]
-        if np.abs(rows - rows[0]).max() > _EQUIVARIANCE_ATOL:
-            raise NotEquivariant(
-                f"orbit {r} rows differ by {np.abs(rows - rows[0]).max():.3e}"
-            )
-        if np.abs(b[orb] - b[orb[0]]).max() > _EQUIVARIANCE_ATOL:
-            raise NotEquivariant(f"orbit {r} right-hand sides differ")
-        matrix[r] = rows[0]
-        rhs[r] = b[orb[0]]
-    return ReducedSystem(matrix=matrix, rhs=rhs, orbit_of=orbits.orbit_of.copy())
+    orbit_of = orbits.orbit_of
+    # member[v, r] says whether vertex v lies in orbit r; orbits list their
+    # members ascending, so the first True of column r is its first member
+    member = orbit_of[:, None] == np.arange(orbits.n_orbits)
+    collapsed = A @ member
+    first = member.argmax(axis=0)
+    ref = first[orbit_of]
+    row_dev = np.abs(collapsed - collapsed[ref]).max(axis=1)
+    rhs_dev = np.abs(b - b[ref])
+    failing = (row_dev > _EQUIVARIANCE_ATOL) | (rhs_dev > _EQUIVARIANCE_ATOL)
+    if failing.any():
+        r = orbit_of[failing].min()
+        dev = row_dev[orbit_of == r].max()
+        if dev > _EQUIVARIANCE_ATOL:
+            raise NotEquivariant(f"orbit {r} rows differ by {dev:.3e}")
+        raise NotEquivariant(f"orbit {r} right-hand sides differ")
+    return ReducedSystem(matrix=collapsed[first], rhs=b[first], orbit_of=orbit_of.copy())
 
 
-def reduced_ring_system(mesh, f=None):
-    """Normalized system of a labeled mesh collapsed onto its symmetry orbits.
+def reduced_ring_system(mesh):
+    """Normalized system of the oscillating witness collapsed onto symmetry orbits.
 
     Orbits are generated by the 90-degree rotation plus apex transpositions,
     so the reduction has J+2 unknowns in 2D (one per ring plus the center) and
     J+3 for the pyramid joins (all apexes pool into one orbit).
     """
-    if f is None:
-        f = oscillating_data(mesh)
-    system = normalized_system(mesh, f)
+    system = normalized_system(mesh, oscillating_data(mesh))
     orbits = symmetry_orbits(mesh, symmetry_generators(mesh))
     return reduce_by_symmetry(system, orbits)
-
-
-@dataclass(frozen=True)
-class LimitSystem:
-    """The t -> 0 limit of the orbit-reduced normalized system."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def solve(self):
-        return np.linalg.solve(self.matrix, self.rhs)
 
 
 def limit_system_2d(J):
@@ -133,17 +128,7 @@ def limit_system_2d(J):
     x_{j-1} + x_j = 2 (-1)^j.
     """
     check_integer(J, 1, f"J must be an integer >= 1, got {J!r}")
-    k = J + 2
-    A = np.zeros((k, k))
-    b = np.zeros(k)
-    A[0, 0] = 1.5
-    A[0, 1] = 0.5
-    b[0] = -2.0
-    for j in range(1, k):
-        A[j, j - 1] = 1.0
-        A[j, j] = 1.0
-        b[j] = 2.0 * (-1.0) ** j
-    return LimitSystem(matrix=A, rhs=b)
+    return _limit_system(J, 2)
 
 
 def limit_solution_2d(J):
@@ -163,24 +148,33 @@ def limit_system_pyramid(J, d):
     """
     check_integer(J, 1, f"J must be an integer >= 1, got {J!r}")
     check_integer(d, 3, f"pyramid limit systems need d >= 3, got {d!r}")
-    k = J + 3
+    return _limit_system(J, d)
+
+
+def _limit_system(J, d):
+    """The rows of limit_system_pyramid for any d >= 2.
+
+    At d = 2 the apex coupling (d-2)/2 vanishes, so the apex unknown drops
+    out: its row and column are left out and the rest is limit_system_2d.
+    """
+    k = J + 2 if d == 2 else J + 3
     A = np.zeros((k, k))
     b = np.zeros(k)
-    apex_coupling = (d - 2) / 2.0
     rhs_scale = (d + 2) / 2.0
     A[0, 0] = 1.5
     A[0, 1] = 0.5
-    A[0, -1] = apex_coupling
     b[0] = -rhs_scale
     for j in range(1, J + 2):
         A[j, j - 1] = 1.0
         A[j, j] = 1.0
-        A[j, -1] = apex_coupling
         b[j] = rhs_scale * (-1.0) ** j
-    A[-1, 0] = 1.0
-    A[-1, 1] = 0.5
-    A[-1, -1] = 1.0 + (d - 3) / 2.0
-    b[-1] = -rhs_scale
+    if d > 2:
+        # x' is the last unknown, coupled to every other row by (d-2)/2
+        A[:-1, -1] = (d - 2) / 2.0
+        A[-1, 0] = 1.0
+        A[-1, 1] = 0.5
+        A[-1, -1] = 1.0 + (d - 3) / 2.0
+        b[-1] = -rhs_scale
     return LimitSystem(matrix=A, rhs=b)
 
 

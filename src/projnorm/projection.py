@@ -61,6 +61,25 @@ _TIE_RTOL = 1e-12
 _PRUNE_RTOL = 1e-13
 
 
+def _finite_vector(values, what):
+    """values as a read-only float vector; InvalidParameter unless 1-D and finite."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise InvalidParameter(f"{what} must be a one-dimensional vector")
+    if not np.isfinite(values).all():
+        raise InvalidParameter(f"{what} must be finite")
+    values.setflags(write=False)
+    return values
+
+
+def _vector_of_length(values, n, what):
+    """values as a float array; LengthMismatch unless its shape is (n,)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise LengthMismatch(f"expected one {what} ({n}), got {values.shape}")
+    return values
+
+
 @dataclass(frozen=True)
 class CellwiseConstant:
     """One value per simplex.  Values must be finite."""
@@ -68,13 +87,7 @@ class CellwiseConstant:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise InvalidParameter("cellwise data must be a one-dimensional vector")
-        if not np.isfinite(values).all():
-            raise InvalidParameter("cellwise data must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _finite_vector(self.values, "cellwise data"))
 
     @property
     def sup_norm(self):
@@ -88,13 +101,8 @@ class SplineFunction:
     nodal_values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.nodal_values, dtype=float)
-        if values.ndim != 1:
-            raise InvalidParameter("nodal values must be a one-dimensional vector")
-        if not np.isfinite(values).all():
-            raise InvalidParameter("nodal values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "nodal_values", values)
+        object.__setattr__(self, "nodal_values",
+                           _finite_vector(self.nodal_values, "nodal values"))
 
     @property
     def sup_norm(self):
@@ -108,15 +116,6 @@ class NormalizedSystem:
 
     A: np.ndarray
     b: np.ndarray
-
-
-def _cellwise_values(mesh, f):
-    values = np.asarray(getattr(f, "values", f), dtype=float)
-    if values.shape != (mesh.n_simplices,):
-        raise LengthMismatch(
-            f"expected one value per simplex ({mesh.n_simplices}), got {values.shape}"
-        )
-    return values
 
 
 def assemble_mass(mesh):
@@ -143,7 +142,8 @@ def assemble_mass(mesh):
 
 def assemble_load(mesh, f):
     """Load vector (f, phi_P): each simplex donates f * V / (d+1) per vertex."""
-    values = _cellwise_values(mesh, f)
+    values = _vector_of_length(getattr(f, "values", f), mesh.n_simplices,
+                               "value per simplex")
     contrib = values * mesh.simplex_volumes / (mesh.dim + 1)
     F = np.zeros(mesh.n_vertices)
     np.add.at(F, mesh.simplices, contrib[:, None])
@@ -198,11 +198,7 @@ def _mass_solver(M):
 
 def solve_with_load(mesh, load):
     """Solve M x = load; return x and its normalized residual (_mass_solver)."""
-    load = np.asarray(load, dtype=float)
-    if load.shape != (mesh.n_vertices,):
-        raise LengthMismatch(
-            f"expected one load entry per vertex ({mesh.n_vertices}), got {load.shape}"
-        )
+    load = _vector_of_length(load, mesh.n_vertices, "load entry per vertex")
     return _mass_solver(assemble_mass(mesh))(load)
 
 
@@ -287,11 +283,7 @@ def _abs_integrals(mesh, rows):
 
 def spline_abs_integral(mesh, nodal_values):
     """Exact integral of |g| for the spline with the given vertex values."""
-    nodal = np.asarray(nodal_values, dtype=float)
-    if nodal.shape != (mesh.n_vertices,):
-        raise LengthMismatch(
-            f"expected one nodal value per vertex ({mesh.n_vertices}), got {nodal.shape}"
-        )
+    nodal = _vector_of_length(nodal_values, mesh.n_vertices, "nodal value per vertex")
     return float(_abs_integrals(mesh, nodal[None, :])[0])
 
 

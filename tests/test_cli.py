@@ -288,12 +288,16 @@ class TestReproduceCommand:
         assert run("reproduce", "--limit", "--J", "1..3", "--t", "0.1",
                    "-o", str(tmp_path / "s.csv")) == 2
 
-    @pytest.mark.parametrize("J", [",", ""], ids=["comma", "blank"])
-    def test_empty_J_exits_2(self, tmp_path, capsys, J):
-        # an empty sweep would pass the theorem check without a single row
+    @pytest.mark.parametrize("argv", [
+        ("--theorem", "--J", ",", "--t", "0.01"),
+        ("--theorem", "--J", "", "--t", "0.01"),
+        ("--limit", "--J", "3", "--t", ","),
+    ], ids=["comma", "blank", "limit-t-comma"])
+    def test_empty_J_exits_2(self, tmp_path, capsys, argv):
+        # an empty sweep would pass the theorem or limit check without a single row
         out = tmp_path / "s.csv"
         with pytest.raises(SystemExit) as caught:
-            run("reproduce", "--theorem", "--J", J, "--t", "0.01", "-o", str(out))
+            run("reproduce", *argv, "-o", str(out))
         assert caught.value.code == 2
         assert "no values" in capsys.readouterr().err
         assert not out.exists()
@@ -315,6 +319,18 @@ class TestReproduceCommand:
         text = capsys.readouterr().out
         assert "growth slope:" in text
         assert float(text.split("growth slope:")[1].split()[0]) > 2.0
+
+    def test_pyramid_refuses_d_below_3(self, tmp_path, capsys, monkeypatch):
+        # d = 2 would sweep the 2D family under the pyramid's name
+        def assemble_mass(*args):
+            raise AssertionError("projected before d was checked")
+
+        monkeypatch.setattr(counterexample, "assemble_mass", assemble_mass)
+        out = tmp_path / "s.csv"
+        assert run("reproduce", "--pyramid", "--J", "2..4", "--t", "0.01",
+                   "--d", "2", "-o", str(out)) == 2
+        assert "pyramid partitions need d >= 3, got 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pyramid_single_J_exits_4(self, tmp_path):
         assert run("reproduce", "--pyramid", "--J", "2", "--t", "0.01",

@@ -27,6 +27,7 @@ from projnorm import (
     reduced_ring_system,
     ring_rotation_permutation,
     sweep_to_csv,
+    symmetry_generators,
     symmetry_orbits,
     vertex_roles,
 )
@@ -115,6 +116,42 @@ class TestReduction:
         bad = OrbitPartition(orbits=orbits, orbit_of=orbit_of)
         with pytest.raises(NotEquivariant):
             reduce_by_symmetry(system, bad)
+
+    @pytest.mark.parametrize("build", [lambda: build_counterexample_2d(5, 0.1),
+                                       lambda: build_pyramid_partition(3, 0.01, 4)],
+                             ids=["2d", "pyramid"])
+    def test_matches_per_orbit_loop(self, build):
+        # the per-orbit loop of pooling and picking rows, bit for bit
+        mesh = build()
+        system = normalized_system(mesh, oscillating_data(mesh))
+        orbits = symmetry_orbits(mesh, symmetry_generators(mesh))
+        reduced = reduce_by_symmetry(system, orbits)
+        S = np.zeros((mesh.n_vertices, orbits.n_orbits))
+        for r, orb in enumerate(orbits.orbits):
+            S[orb, r] = 1.0
+        collapsed = system.A @ S
+        for r, orb in enumerate(orbits.orbits):
+            assert np.array_equal(reduced.matrix[r], collapsed[orb[0]])
+            assert reduced.rhs[r] == system.b[orb[0]]
+        assert np.array_equal(reduced.orbit_of, orbits.orbit_of)
+
+    @pytest.mark.parametrize("bad_rows, bad_rhs, message", [
+        (True, False, r"^orbit 2 rows differ by 2\.500e-01$"),
+        (False, True, r"^orbit 1 right-hand sides differ$"),
+        # orbit 2's rows fail as well, but orbit 1 comes first
+        (True, True, r"^orbit 1 right-hand sides differ$"),
+    ], ids=["rows", "rhs", "smallest-orbit"])
+    def test_non_equivariance_message(self, bad_rows, bad_rhs, message):
+        mesh = build_counterexample_2d(2, 0.3)
+        system = normalized_system(mesh, oscillating_data(mesh))
+        orbits = symmetry_orbits(mesh, ring_rotation_permutation(mesh))
+        A, b = system.A.copy(), system.b.copy()
+        if bad_rows:
+            A[orbits.orbits[2][1], 0] += 0.25
+        if bad_rhs:
+            b[orbits.orbits[1][-1]] += 1.0
+        with pytest.raises(NotEquivariant, match=message):
+            reduce_by_symmetry(projection.NormalizedSystem(A=A, b=b), orbits)
 
 
 class TestRationalWitness:
