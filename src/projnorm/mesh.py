@@ -7,13 +7,13 @@ are pure functions of their arguments.
 
 Besides generic helpers (volumes, stars, angle statistics, conformity
 validation, symmetry orbits) the module provides the partition families used
-throughout the package.  Conformity validation is numpy passes over blocks of
-bounding-box candidates: face owner counts, hanging nodes by batched
-barycentric solves, and, for simplex pairs sharing s < d vertices, an exact
-separating-hyperplane test.  Such a hyperplane contains the shared face, so
-pairs with s >= 1 try only the C(2(d+1-s), d-s) normals through it (15 or 4
-in 3D), and vertex-disjoint pairs every facet normal of P - Q (44 in 3D, 862
-in 5D).  The families are:
+throughout the package.  Conformity validation counts face owners and makes
+one blocked pass over widened simplex bounding boxes for candidate pairs.
+The pairs yield the hanging nodes, by batched barycentric solves, and, for
+pairs sharing s < d vertices, an exact separating-hyperplane test.  Such a
+hyperplane contains the shared face, so pairs with s >= 1 try only the
+C(2(d+1-s), d-s) normals through it (15 or 4 in 3D), and vertex-disjoint
+pairs every facet normal of P - Q (44 in 3D, 862 in 5D).  The families are:
 
 * ``build_counterexample_2d`` -- a square triangulated along a geometric
   sequence of shrinking concentric squares ("rings"),
@@ -473,11 +473,12 @@ def validate_conformity(mesh):
     Returns a list of human-readable violations (empty for a conforming
     mesh): boundary faces shared by more than two simplices, vertices lying
     inside or on a simplex they do not belong to (hanging nodes), duplicate
-    or folded simplex pairs, and pairs with overlapping interiors.  Pairs of
-    simplices are candidates only when their bounding boxes meet; pairs that
-    share fewer than d vertices go through an exact separating-hyperplane
-    test, one call per shared-vertex count.  Memory stays O(block * m):
-    boxes are compared in row blocks.
+    or folded simplex pairs, and pairs with overlapping interiors.  One box
+    per simplex, widened by _TOUCH_RTOL of its largest extent, picks the
+    candidate pairs, whose non-shared vertices are the hanging-node
+    candidates; pairs that share fewer than d vertices go through an exact
+    separating-hyperplane test, one call per shared-vertex count.  Memory
+    stays O(block * m): boxes are compared in row blocks.
     """
     violations = []
     d = mesh.dim
@@ -491,24 +492,34 @@ def validate_conformity(mesh):
     for face, count in zip(faces[owners > 2].tolist(), owners[owners > 2].tolist()):
         violations.append(f"face {tuple(face)} is shared by {count} simplices")
 
-    # hanging nodes: a vertex inside the closed simplex of a foreign element
+    # one box per simplex, widened relative to its own size so graded meshes
+    # stay scale-free; pairs i < j are candidates when their boxes meet
     corners = verts[simplices]
-    mins = corners.min(axis=1)
-    maxs = corners.max(axis=1)
-    # relative to each simplex's own size, so graded meshes stay scale-free
-    slack = _TOUCH_RTOL * (maxs - mins).max(axis=1)
-    lo = mins - slack[:, None]
-    hi = maxs + slack[:, None]
-    hits = []
-    for rows in _row_blocks(m, n * d):
-        inside = np.ones((rows.stop - rows.start, n), dtype=bool)
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    slack = _TOUCH_RTOL * (hi - lo).max(axis=1, keepdims=True)
+    lo, hi = lo - slack, hi + slack
+    pairs = []
+    for rows in _row_blocks(m, m * d):
+        rest = slice(rows.start, m)
+        meet = np.ones((rows.stop - rows.start, m - rows.start), dtype=bool)
         for x in range(d):
-            inside &= (verts[:, x] >= lo[rows, None, x]) & (verts[:, x] <= hi[rows, None, x])
-        s, v = np.nonzero(inside)
-        hits.append((s + rows.start, v))
-    s, v = (np.concatenate(a) for a in zip(*hits))
-    foreign = ~(simplices[s] == v[:, None]).any(axis=1)
-    s, v = s[foreign], v[foreign]
+            meet &= lo[rows, None, x] <= hi[rest, x]
+            meet &= lo[rest, x] <= hi[rows, None, x]
+        i, j = np.nonzero(meet)
+        keep = j > i
+        pairs.append((i[keep] + rows.start, j[keep] + rows.start))
+    i, j = (np.concatenate(a) for a in zip(*pairs))
+    same = simplices[i][:, :, None] == simplices[j][:, None, :]   # (K, d+1, d+1)
+    in_j, in_i = same.any(axis=2), same.any(axis=1)
+
+    # hanging nodes: a vertex v on a foreign simplex s lies in the boxes of s
+    # and of a simplex of its own, so v is a non-shared vertex of one side of
+    # a pair whose other side is s; candidates are ordered by s * n + v
+    s, v = np.divmod(np.unique(np.concatenate([
+        (j[:, None] * n + simplices[i])[~in_j],
+        (i[:, None] * n + simplices[j])[~in_i]])), n)
+    inside = ((verts[v] >= lo[s]) & (verts[v] <= hi[s])).all(axis=1)
+    s, v = s[inside], v[inside]
     origin = corners[s, 0]
     T = (corners[s, 1:] - origin[:, None]).transpose(0, 2, 1)
     lam = np.linalg.solve(T, (verts[v] - origin)[..., None])[..., 0]
@@ -516,20 +527,6 @@ def validate_conformity(mesh):
     for a, b in zip(*(x[(lam >= -_TOUCH_RTOL).all(axis=1)].tolist() for x in (s, v))):
         violations.append(f"vertex {b} lies on simplex {a} without being one of its vertices")
 
-    # pairwise checks on bounding-box colliding pairs i < j
-    pairs = []
-    for rows in _row_blocks(m, m * d):
-        rest = slice(rows.start, m)
-        meet = np.ones((rows.stop - rows.start, m - rows.start), dtype=bool)
-        for x in range(d):
-            meet &= mins[rows, None, x] <= maxs[rest, x] + slack[rows, None]
-            meet &= mins[rest, x] <= maxs[rows, None, x] + slack[rest]
-        i, j = np.nonzero(meet)
-        keep = j > i
-        pairs.append((i[keep] + rows.start, j[keep] + rows.start))
-    i, j = (np.concatenate(a) for a in zip(*pairs))
-    same = simplices[i][:, :, None] == simplices[j][:, None, :]   # (K, d+1, d+1)
-    in_j, in_i = same.any(axis=2), same.any(axis=1)
     shared = in_j.sum(axis=1)
     kind = np.zeros(len(i), dtype=np.int8)
     kind[shared == d + 1] = 1
@@ -590,11 +587,13 @@ def symmetry_orbits(mesh, permutations):
     simplex set onto itself (as sets of vertex-id sets); otherwise
     NotASymmetry is raised.
     """
-    perms = np.asarray(permutations, dtype=np.int64)
+    perms = np.asarray(permutations)
     if perms.ndim == 1:
         perms = perms[None, :]
-    if perms.ndim != 2 or perms.shape[1] != mesh.n_vertices:
-        raise InvalidParameter("permutations must have one entry per vertex")
+    # 0.4 and True are not vertex ids
+    if perms.ndim != 2 or perms.shape[1] != mesh.n_vertices or perms.dtype.kind not in "iu":
+        raise InvalidParameter("permutations must have one integer entry per vertex")
+    perms = perms.astype(np.int64)
     n = mesh.n_vertices
     simplex_set = _sorted_simplices(mesh.simplices)
     for perm in perms:

@@ -62,8 +62,8 @@ _PRUNE_RTOL = 1e-13
 
 
 def _finite_vector(values, what):
-    """values as a read-only float vector; InvalidParameter unless 1-D and finite."""
-    values = np.asarray(values, dtype=float)
+    """values as a read-only float copy; InvalidParameter unless 1-D and finite."""
+    values = np.array(values, dtype=float)
     if values.ndim != 1:
         raise InvalidParameter(f"{what} must be a one-dimensional vector")
     if not np.isfinite(values).all():

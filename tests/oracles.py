@@ -7,7 +7,8 @@ approximated by centroid rules on fine self-similar subdivisions or computed
 simplex by simplex with a scalar recursion, witness norms are found by
 brute force over all cellwise sign patterns, the dual functions and the
 inverse-norm bound come from explicit dense inverses, overlapping
-simplex interiors are found by one linear program per pair, and the
+simplex interiors are found by one linear program per pair, hanging nodes
+by a plain loop over every simplex and foreign vertex, and the
 projected witness on the shrinking-square meshes is solved in exact rational
 arithmetic.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from projnorm import build_counterexample_2d
+from projnorm.mesh import _TOUCH_RTOL
 
 
 def simplex_quadrature(d, n=8):
@@ -285,6 +287,29 @@ def lp_interiors_overlap(c1, c2):
         # infeasible means the closed simplices are disjoint
         return False
     return float(res.x[-1]) > 1e-9
+
+
+def hanging_nodes(mesh):
+    """(simplex, vertex) pairs, in that order, of vertices on foreign simplices.
+
+    Loops over every simplex and every vertex not among its own: the vertex
+    counts when it lies in the simplex's bounding box widened by _TOUCH_RTOL
+    of its largest extent and all its barycentric coordinates are at least
+    -_TOUCH_RTOL.
+    """
+    found = []
+    for s, ids in enumerate(mesh.simplices.tolist()):
+        corners = mesh.vertices[ids]
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        slack = _TOUCH_RTOL * (hi - lo).max()
+        T = (corners[1:] - corners[0]).T
+        for v, x in enumerate(mesh.vertices):
+            if v in ids or not ((x >= lo - slack) & (x <= hi + slack)).all():
+                continue
+            lam = np.linalg.solve(T, x - corners[0])
+            if 1.0 - lam.sum() >= -_TOUCH_RTOL and (lam >= -_TOUCH_RTOL).all():
+                found.append((s, v))
+    return found
 
 
 def random_interval_mesh(rng, max_segments=50, max_ratio=1e6):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import oracles
 from oracles import lp_interiors_overlap, random_simplex_vertices
 
 from projnorm import (
@@ -374,6 +375,38 @@ class TestConformity:
         assert nodes == sorted(nodes) and pairs == sorted(pairs)
         assert all(i < j for i, j in pairs)
 
+    def test_hanging_nodes_match_the_vertex_loop_oracle(self):
+        # jittered meshes overlap their neighbors; every third one also gets a
+        # duplicated simplex and every third an extra simplex on random
+        # vertices, which covers many foreign ones
+        rng = np.random.default_rng(1313)
+        total = 0
+        for k in range(60):
+            d = k % 4 + 1
+            if d == 1:
+                base = build_interval_partition(np.cumsum(rng.uniform(0.1, 1.0, 12)))
+            elif d == 2:
+                base = build_uniform_square(int(rng.integers(2, 6)))
+            else:
+                base = build_pyramid_partition(int(rng.integers(1, 4)), 0.3, d)
+            h = base.simplex_volumes.mean() ** (1 / d)
+            verts = base.vertices + rng.uniform(-1.0, 1.0, base.vertices.shape) * h
+            verts *= 10.0 ** rng.integers(-30, 31)
+            simplices = base.simplices
+            if k % 3 == 1:
+                twin = simplices[rng.integers(len(simplices))][::-1]
+                simplices = np.vstack([simplices, twin])
+            elif k % 3 == 2:
+                extra = rng.choice(base.n_vertices, d + 1, replace=False)
+                simplices = np.vstack([simplices, extra])
+            mesh = SimplicialMesh(verts, simplices)
+            expected = oracles.hanging_nodes(mesh)
+            got = [tuple(int(x) for x in re.findall(r"\d+", v))[::-1]
+                   for v in validate_conformity(mesh) if v.startswith("vertex")]
+            assert got == expected, k
+            total += len(expected)
+        assert total >= 100
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_shared_vertex_pairs_match_lp_oracle(self, d):
         # Q shares P's first s vertices, listed in a shuffled order; only pairs
@@ -526,6 +559,16 @@ class TestSymmetryOrbits:
         mesh = build_uniform_square(1)
         with pytest.raises(InvalidParameter):
             symmetry_orbits(mesh, np.arange(3))
+
+    def test_rejects_non_integer_entries(self):
+        # 0.4 added to the rotation used to truncate back to a symmetry
+        mesh = build_counterexample_2d(2, 0.3)
+        perm = ring_rotation_permutation(mesh)
+        for bad in (perm + 0.4, perm.tolist()[:-1] + [12.0], perm > 5):
+            with pytest.raises(InvalidParameter, match="integer"):
+                symmetry_orbits(mesh, bad)
+        assert symmetry_orbits(mesh, perm.tolist()).n_orbits == 4
+        assert symmetry_orbits(mesh, perm.astype(np.int32)).n_orbits == 4
 
     def test_roles_require_labels(self):
         with pytest.raises(MissingLabels):

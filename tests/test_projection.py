@@ -234,6 +234,16 @@ class TestProjection:
         with pytest.raises(InvalidParameter):
             SplineFunction([np.nan])
 
+    @pytest.mark.parametrize("cls, field",
+                             [(CellwiseConstant, "values"), (SplineFunction, "nodal_values")])
+    def test_keeps_a_read_only_copy_of_the_callers_array(self, cls, field):
+        a = np.ones(2)
+        stored = getattr(cls(a), field)
+        a[0] = 2.0
+        assert stored.tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 3.0
+
     def test_severe_scaling_still_solves(self):
         mesh = build_counterexample_2d(10, 0.01)  # areas span ~40 decades
         from projnorm import oscillating_data
