@@ -14,6 +14,7 @@ failure, 4 a reproduction run finished but its expected property failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -84,7 +85,9 @@ def _single(values, name):
     return values[0]
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="projnorm",
         description="L2 projections onto linear splines and their sup-norm "
@@ -270,9 +273,8 @@ def _write_csv(records, path):
 
 
 def main(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_values(argv))
+    args = build_parser().parse_args(_attach_negative_values(argv))
     handlers = {
         "mesh": cmd_mesh,
         "project": cmd_project,

@@ -580,6 +580,15 @@ class OrbitPartition:
         return len(self.orbits)
 
 
+def _holds_bool(x):
+    """Whether x is a bool or a list or tuple holding one at any depth."""
+    if isinstance(x, np.ndarray):
+        return x.dtype == bool
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_bool, x))
+    return isinstance(x, (bool, np.bool_))
+
+
 def symmetry_orbits(mesh, permutations):
     """Vertex orbits of the group generated by one or more mesh symmetries.
 
@@ -590,8 +599,9 @@ def symmetry_orbits(mesh, permutations):
     perms = np.asarray(permutations)
     if perms.ndim == 1:
         perms = perms[None, :]
-    # 0.4 and True are not vertex ids
-    if perms.ndim != 2 or perms.shape[1] != mesh.n_vertices or perms.dtype.kind not in "iu":
+    # 0.4 and True are not vertex ids, also where np.asarray makes True a 1
+    if (perms.ndim != 2 or perms.shape[1] != mesh.n_vertices or perms.dtype.kind not in "iu"
+            or _holds_bool(permutations)):
         raise InvalidParameter("permutations must have one integer entry per vertex")
     perms = perms.astype(np.int64)
     n = mesh.n_vertices
@@ -741,8 +751,6 @@ def mesh_from_dict(data):
         simplices = np.asarray(data["simplices"])
         bools = bool in set(map(type, itertools.chain.from_iterable(data["simplices"])))
         labels = data.get("labels", {})
-        if isinstance(labels, dict):
-            labels = {int(k): str(v) for k, v in labels.items()}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed mesh data: {exc}") from exc
     # 2.5, "2" and true are not dimensions
@@ -755,7 +763,21 @@ def mesh_from_dict(data):
         raise InvalidParameter("mesh data: simplex ids must be integers")
     if vertices.ndim != 2 or vertices.shape[1] != dim:
         raise InvalidParameter("mesh data: vertices do not match the declared dim")
+    n = len(vertices)
+    labels = {_vertex_id(k, n): str(v) for k, v in labels.items()}
     return SimplicialMesh(vertices, simplices, labels)
+
+
+def _vertex_id(key, n):
+    """The vertex id a label key names; InvalidParameter unless the key is the
+    decimal form of an id in 0..n-1 ("1_0", " 2" and "02" are not)."""
+    try:
+        vertex = int(key)
+    except (TypeError, ValueError):
+        vertex = None
+    if vertex is None or str(vertex) != key or not 0 <= vertex < n:
+        raise InvalidParameter(f"mesh data: label key {key!r} is not a vertex id 0..{n - 1}")
+    return vertex
 
 
 def mesh_from_json(text):

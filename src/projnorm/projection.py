@@ -171,8 +171,9 @@ def _mass_solver(M):
     """
     diag = M.diagonal()
     s = 1.0 / np.sqrt(diag)
-    C = M.tocoo()
-    S = sparse.csc_matrix((C.data * s[C.row] * s[C.col], (C.row, C.col)), shape=M.shape)
+    # tocsc() returns M itself when M is CSC: scale a copy, M stays for the gate
+    S = M.tocsc(copy=True)
+    S.data = S.data * s[S.indices] * s[np.repeat(np.arange(S.shape[1]), np.diff(S.indptr))]
     try:
         lu = splu(S, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -246,7 +247,7 @@ def _abs_integrals(mesh, rows):
     volume = np.tile(mesh.simplex_volumes, len(rows))
     owner = np.repeat(np.arange(len(rows)), n_simp)
     totals = np.zeros(len(rows))
-    while vals.shape[1]:
+    while True:
         vmax = vals.max(axis=0)
         vmin = vals.min(axis=0)
         thr = _SIGN_RTOL * np.maximum(vmax, -vmin)
@@ -254,19 +255,22 @@ def _abs_integrals(mesh, rows):
         neg = vals < -thr
         mixed = (vmax > thr) & (vmin < -thr)
         lone_pos = mixed & (pos.sum(axis=0) == 1)
-        lone = lone_pos | (mixed & (neg.sum(axis=0) == 1))
+        split = mixed & ~lone_pos & (neg.sum(axis=0) != 1)
+        lone = np.flatnonzero(mixed ^ split)
         mean = vals.sum(axis=0) / k
         part = np.abs(mean)
-        lv = vals[:, lone]
         # the lone value is the only one beyond the threshold on its side
         a = np.where(lone_pos[lone], vmax[lone], vmin[lone])
-        gap = np.where(lv == a, a, a - lv)  # factor 1 at the lone vertex, no 0/0
-        ratio = np.prod(a / gap, axis=0)
+        ratio = 1.0
+        for v in vals[:, lone]:  # the order of np.prod(axis=0)
+            ratio = ratio * (a / np.where(v == a, a, a - v))  # 1 at the lone vertex, no 0/0
         part[lone] = 2.0 * np.abs(a) / k * ratio - np.sign(a) * mean[lone]
-        split = mixed & ~lone
+        if not split.any():  # every call in 1D and 2D ends at the first level
+            return totals + np.bincount(owner, weights=volume * part, minlength=len(rows))
         done = ~split
         totals += np.bincount(owner[done], weights=volume[done] * part[done],
                               minlength=len(rows))
+        split = np.flatnonzero(split)
         vals, volume, owner = vals[:, split], volume[split], owner[split]
         at = np.arange(vals.shape[1])
         i = pos[:, split].argmax(axis=0)

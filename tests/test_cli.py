@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 import types
 
 import numpy as np
@@ -130,10 +132,15 @@ class TestProjectCommand:
             # labels are read only by --oscillating
             ("labels", {"0": ""}, OSCILLATING),
             ("labels", {"0": "ring x corner 1"}, OSCILLATING),
+            # a label key is the decimal form of a vertex id, 0..3 here
+            ("labels", {"0_1": "center"}, VALUES),
+            ("labels", {" 2": "center"}, VALUES),
+            ("labels", {"999": "center"}, VALUES),
         ],
         ids=["labels-list", "id-1e30", "id-fractional", "id-bool",
              "dim-fractional", "dim-float", "dim-string", "dim-bool",
-             "label-empty", "label-ring-not-a-number"],
+             "label-empty", "label-ring-not-a-number",
+             "label-underscore", "label-space", "label-out-of-range"],
     )
     def test_malformed_mesh_json_exits_2(self, tmp_path, capsys, field, value, data_args):
         mesh_file = tmp_path / "mesh.json"
@@ -344,3 +351,45 @@ class TestReproduceCommand:
             parts = row.split(",")
             assert float(parts[4]) >= float(parts[3])
             assert parts[6] != ""
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # argparse keeps no state between parse_args calls, so the one cached
+        # parser must give every call the output it gives in a fresh order
+        assert cli.build_parser() is cli.build_parser()
+        mesh_file = str(tmp_path / "cx.json")
+        run("mesh", "counterexample2d", "--J", "1", "--t", "0.3", "-o", mesh_file)
+        values = ",".join(["-0.5"] + ["1"] * 11)  # 12 triangles
+        out = tmp_path / "out"
+        calls = [
+            ("reproduce", "--theorem", "--J", "1..3", "--t", "0.1", "--with-norms"),
+            ("reproduce", "--theorem", "--J", "1..3", "--t", "0.1"),
+            ("project", "--mesh", mesh_file, "--values", values),
+            ("project", "--mesh", mesh_file, "--values"),  # argparse: exit 2
+            ("project", "--mesh", mesh_file, "--oscillating"),
+        ]
+
+        def outcome(argv):
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            try:
+                code = run(*argv, "-o", str(out))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+        forward = [outcome(argv) for argv in calls]
+        backward = [outcome(argv) for argv in reversed(calls)][::-1]
+        assert forward == backward
+        # exit 4: at t = 0.1 the J = 3 witness falls below 6
+        assert [code for code, *_ in forward] == [4, 4, 0, 2, 0]
+        assert forward[0][3] != forward[1][3]  # the norm columns are filled only once
+
+    def test_python_dash_m_runs_the_cli(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["projnorm", "--help"])
+        with pytest.raises(SystemExit) as caught:
+            runpy.run_module("projnorm", run_name="__main__")
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: projnorm")

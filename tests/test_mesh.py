@@ -564,9 +564,15 @@ class TestSymmetryOrbits:
         # 0.4 added to the rotation used to truncate back to a symmetry
         mesh = build_counterexample_2d(2, 0.3)
         perm = ring_rotation_permutation(mesh)
-        for bad in (perm + 0.4, perm.tolist()[:-1] + [12.0], perm > 5):
+        # np.asarray reads a True among ints as 1, which made [0, True, 2, 3]
+        # pass as the identity and this list as the rotation
+        with_bool = [True if v == 1 else v for v in perm.tolist()]
+        for bad in (perm + 0.4, perm.tolist()[:-1] + [12.0], perm > 5, with_bool,
+                    [perm, with_bool]):
             with pytest.raises(InvalidParameter, match="integer"):
                 symmetry_orbits(mesh, bad)
+        with pytest.raises(InvalidParameter, match="integer"):
+            symmetry_orbits(build_uniform_square(1), [0, True, 2, 3])
         assert symmetry_orbits(mesh, perm.tolist()).n_orbits == 4
         assert symmetry_orbits(mesh, perm.astype(np.int32)).n_orbits == 4
 

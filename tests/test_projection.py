@@ -172,6 +172,15 @@ class TestProjection:
         with pytest.raises(SolveFailure, match="factorization failed"):
             projection._mass_solver(scipy.sparse.csr_matrix(np.ones((2, 2))))
 
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_solver_leaves_its_matrix_unchanged(self, fmt):
+        # M.tocsc() is M itself for a CSC M, and the residual gate reads M
+        M = assemble_mass(build_pyramid_partition(2, 0.1, 4)).asformat(fmt)
+        before = [a.copy() for a in (M.data, M.indices, M.indptr)]
+        projection._mass_solver(M)(np.ones(M.shape[0]))
+        for was, now in zip(before, (M.data, M.indices, M.indptr)):
+            assert np.array_equal(was, now)
+
     @staticmethod
     def _inner_rings_too_large(monkeypatch):
         """cx J=8, t=0.01, with every solve 22% too large on ring 8 and the center."""
