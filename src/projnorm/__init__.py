@@ -35,9 +35,7 @@ from .mesh import (
     mesh_from_json,
     mesh_to_dict,
     mesh_to_json,
-    ring_rotation_permutation,
     save_mesh,
-    simplex_volume,
     symmetry_generators,
     symmetry_orbits,
     validate_conformity,

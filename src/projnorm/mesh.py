@@ -5,9 +5,10 @@ integer array of vertex ids.  Meshes are immutable after construction; the
 coordinate and connectivity arrays are marked read-only and all constructors
 are pure functions of their arguments.
 
-Besides generic helpers (volumes, stars, angle statistics, conformity
-validation, symmetry orbits) the module provides the partition families used
-throughout the package.  Conformity validation counts face owners and makes
+Besides generic helpers (simplex volumes, stars, angle statistics, conformity
+validation, symmetry orbits and their generators: the ring rotation first, then
+the apex swaps, or MissingLabels) the module provides the partition families
+used throughout the package.  Conformity validation counts face owners and makes
 one blocked pass over widened simplex bounding boxes for candidate pairs.
 The pairs yield the hanging nodes, by batched barycentric solves, and, for
 pairs sharing s < d vertices, an exact separating-hyperplane test.  Such a
@@ -177,34 +178,6 @@ class SimplicialMesh:
             f"SimplicialMesh(dim={self.dim}, vertices={self.n_vertices}, "
             f"simplices={self.n_simplices})"
         )
-
-
-def simplex_volume(mesh, simplex):
-    """Volume of one simplex, |det E| / d!.
-
-    ``simplex`` is either an index into the mesh simplex table or an explicit
-    list of d+1 vertex ids (the ids need not form a stored simplex, which is
-    useful for probing candidate elements).
-    """
-    if np.isscalar(simplex):
-        idx = int(simplex)
-        if not 0 <= idx < mesh.n_simplices:
-            raise InvalidParameter(f"simplex index {idx} out of range")
-        ids = mesh.simplices[idx]
-    else:
-        ids = np.asarray(simplex, dtype=np.int64)
-        if ids.shape != (mesh.dim + 1,):
-            raise InvalidParameter(
-                f"a simplex in dimension {mesh.dim} has {mesh.dim + 1} vertices"
-            )
-        if ids.min() < 0 or ids.max() >= mesh.n_vertices:
-            raise InvalidVertex("vertex id out of range")
-        if len(set(ids.tolist())) != len(ids):
-            raise InvalidParameter("simplex with repeated vertex ids")
-    vol = float(_volumes(mesh.vertices, ids[None, :])[0])
-    if vol <= VOLUME_EPSILON:
-        raise DegenerateSimplex(f"simplex {list(map(int, ids))} has volume {vol:.3e}")
-    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +615,8 @@ def vertex_roles(mesh):
     Returns ``(ring, corner, center, apexes)`` where ``ring[v]`` is the square
     index for corner vertices, J+1 for the center and -1 for apexes;
     ``corner[v]`` is 1..4 for corner vertices and 0 otherwise.  Raises
-    MissingLabels when the labels are absent or not of the constructor form.
+    MissingLabels when the labels are absent, not of the constructor form or
+    name more than one center.
     """
     n = mesh.n_vertices
     ring = np.full(n, -1, dtype=np.int64)
@@ -657,6 +631,8 @@ def vertex_roles(mesh):
         parts = lab.split()
         corner_label = _CORNER_LABEL.fullmatch(lab)
         if lab == "center":
+            if center >= 0:
+                raise MissingLabels(f"vertices {center} and {v} are both labeled 'center'")
             center = v
         elif len(parts) == 2 and parts[0] == "apex":
             apexes.append(v)
@@ -670,29 +646,22 @@ def vertex_roles(mesh):
     return ring, corner, center, np.array(apexes, dtype=np.int64)
 
 
-def ring_rotation_permutation(mesh):
-    """Vertex permutation of the 90-degree rotation (corner i -> i+1 per ring).
+def symmetry_generators(mesh):
+    """The 90-degree rotation (corner i -> i+1 on every ring) first, then one
+    transposition per pair of consecutive apexes (none in 2D).
 
-    Raises MissingLabels when a labeled ring lacks one of its four corners.
+    Raises MissingLabels when the labels are not of the constructor form or a
+    labeled ring lacks one of its four corners.
     """
-    ring, corner, center, apexes = vertex_roles(mesh)
-    where = {}
-    for v in range(mesh.n_vertices):
-        if corner[v] > 0:
-            where[(int(ring[v]), int(corner[v]))] = v
-    perm = np.arange(mesh.n_vertices)
+    ring, corner, _, apexes = vertex_roles(mesh)
+    where = {(int(ring[v]), int(corner[v])): v for v in np.flatnonzero(corner > 0).tolist()}
+    rotation = np.arange(mesh.n_vertices)
     for (j, i), v in where.items():
         image = where.get((j, i % 4 + 1))
         if image is None:
             raise MissingLabels(f"ring {j} has no vertex labeled corner {i % 4 + 1}")
-        perm[v] = image
-    return perm
-
-
-def symmetry_generators(mesh):
-    """Rotation generator plus apex transpositions (if the mesh has apexes)."""
-    generators = [ring_rotation_permutation(mesh)]
-    _, _, _, apexes = vertex_roles(mesh)
+        rotation[v] = image
+    generators = [rotation]
     for a, b in zip(apexes[:-1], apexes[1:]):
         perm = np.arange(mesh.n_vertices)
         perm[a], perm[b] = b, a

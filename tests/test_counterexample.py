@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from projnorm import counterexample, projection
+from projnorm import mesh as meshmod
 from projnorm import (
     InvalidParameter,
     MissingLabels,
@@ -25,7 +26,6 @@ from projnorm import (
     project,
     reduce_by_symmetry,
     reduced_ring_system,
-    ring_rotation_permutation,
     sweep_to_csv,
     symmetry_generators,
     symmetry_orbits,
@@ -100,9 +100,31 @@ class TestReduction:
     def test_orbit_order_follows_rings(self):
         # orbit r collects ring r, so the reduced unknowns read outward-in
         mesh = build_counterexample_2d(3, 0.2)
-        orbits = symmetry_orbits(mesh, ring_rotation_permutation(mesh))
+        orbits = symmetry_orbits(mesh, symmetry_generators(mesh)[0])
         ring, _, _, _ = vertex_roles(mesh)
         assert np.array_equal(orbits.orbit_of, ring)
+
+    @pytest.mark.parametrize("build", [lambda: build_counterexample_2d(3, 0.1),
+                                       lambda: build_pyramid_partition(2, 0.1, 4)],
+                             ids=["2d", "pyramid"])
+    def test_one_label_decode_per_symmetry_call(self, monkeypatch, build):
+        # symmetry_generators decodes the labels once; reduced_ring_system
+        # decodes them once more, for the oscillating data
+        calls = Counter()
+        decode = meshmod.vertex_roles
+
+        def counted(mesh):
+            calls["vertex_roles"] += 1
+            return decode(mesh)
+
+        monkeypatch.setattr(meshmod, "vertex_roles", counted)
+        monkeypatch.setattr(counterexample, "vertex_roles", counted)
+        mesh = build()
+        symmetry_generators(mesh)
+        assert calls == {"vertex_roles": 1}
+        calls.clear()
+        reduced_ring_system(mesh)
+        assert calls == {"vertex_roles": 2}
 
     def test_rejects_non_equivariant_orbits(self):
         mesh = build_counterexample_2d(2, 0.3)
@@ -144,7 +166,7 @@ class TestReduction:
     def test_non_equivariance_message(self, bad_rows, bad_rhs, message):
         mesh = build_counterexample_2d(2, 0.3)
         system = normalized_system(mesh, oscillating_data(mesh))
-        orbits = symmetry_orbits(mesh, ring_rotation_permutation(mesh))
+        orbits = symmetry_orbits(mesh, symmetry_generators(mesh)[0])
         A, b = system.A.copy(), system.b.copy()
         if bad_rows:
             A[orbits.orbits[2][1], 0] += 0.25

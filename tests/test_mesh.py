@@ -27,8 +27,6 @@ from projnorm import (
     mesh_from_json,
     mesh_to_json,
     reduced_ring_system,
-    ring_rotation_permutation,
-    simplex_volume,
     symmetry_generators,
     symmetry_orbits,
     validate_conformity,
@@ -82,38 +80,28 @@ class TestConstructorValidation:
 
 class TestSimplexVolume:
     def test_unit_triangle(self):
-        assert simplex_volume(unit_triangle(), 0) == 0.5
+        assert unit_triangle().simplex_volumes[0] == 0.5
 
     def test_unit_tetrahedron(self):
         mesh = SimplicialMesh(
             [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 3]]
         )
-        assert simplex_volume(mesh, 0) == pytest.approx(1 / 6, rel=1e-15)
+        assert mesh.simplex_volumes[0] == pytest.approx(1 / 6, rel=1e-15)
 
     def test_segment_length(self):
         mesh = build_interval_partition([0.0, 0.25, 1.0])
-        assert simplex_volume(mesh, 1) == 0.75
-
-    def test_explicit_vertex_ids(self):
-        mesh = SimplicialMesh([[0, 0], [1, 0], [2, 0], [0, 1]], [[0, 1, 3], [1, 2, 3]])
-        assert simplex_volume(mesh, [1, 2, 3]) == 0.5
-        with pytest.raises(DegenerateSimplex):
-            simplex_volume(mesh, [0, 1, 2])  # collinear
-        with pytest.raises(InvalidVertex):
-            simplex_volume(mesh, [0, 1, 9])
-        with pytest.raises(InvalidParameter):
-            simplex_volume(mesh, [0, 1])
+        assert mesh.simplex_volumes[1] == 0.75
 
     def test_invariance_under_permutation_and_rigid_motion(self):
         rng = np.random.default_rng(3)
         coords = rng.uniform(-1, 1, size=(4, 3))
         mesh = SimplicialMesh(coords, [[0, 1, 2, 3]])
-        base = simplex_volume(mesh, 0)
+        base = mesh.simplex_volumes[0]
         perm = SimplicialMesh(coords[[2, 0, 3, 1]], [[0, 1, 2, 3]])
-        assert simplex_volume(perm, 0) == pytest.approx(base, rel=1e-12)
+        assert perm.simplex_volumes[0] == pytest.approx(base, rel=1e-12)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         moved = SimplicialMesh(coords @ Q.T + rng.uniform(-5, 5, 3), [[0, 1, 2, 3]])
-        assert simplex_volume(moved, 0) == pytest.approx(base, rel=1e-12)
+        assert moved.simplex_volumes[0] == pytest.approx(base, rel=1e-12)
 
 
 class TestShrinkingSquares:
@@ -324,6 +312,17 @@ class TestConformity:
     def test_graded_meshes_have_no_false_overlaps(self, mesh):
         assert validate_conformity(mesh) == []
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "54 false overlaps, each pair sharing only the apex, none of them "
+        "overlapping by the LP oracle: the candidate normals are cross products "
+        "of two nearly parallel unit edges from the apex, so their direction is "
+        "off by about eps / t**j, more than the gap slack allows for bases t**j "
+        "across"))
+    def test_rotated_join_has_no_false_overlaps(self):
+        base = build_pyramid_partition(8, 0.1, 3)
+        Q = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))[0]
+        assert validate_conformity(SimplicialMesh(base.vertices @ Q.T, base.simplices)) == []
+
     def test_star_of_david_crossing(self):
         # no shared vertex, and no vertex of either triangle inside the other
         h = math.sqrt(3) / 2
@@ -519,7 +518,7 @@ class TestSymmetryOrbits:
     def test_rotation_orbits_follow_rings(self):
         J = 2
         mesh = build_counterexample_2d(J, 0.3)
-        orbits = symmetry_orbits(mesh, ring_rotation_permutation(mesh))
+        orbits = symmetry_orbits(mesh, symmetry_generators(mesh)[0])
         assert [len(o) for o in orbits.orbits] == [4, 4, 4, 1]
         assert orbits.n_orbits == J + 2
         ring, _, center, _ = vertex_roles(mesh)
@@ -538,7 +537,7 @@ class TestSymmetryOrbits:
 
     def test_rotation_is_a_symmetry(self):
         mesh = build_counterexample_2d(3, 0.2)
-        perm = ring_rotation_permutation(mesh)
+        perm = symmetry_generators(mesh)[0]
         before = {frozenset(row.tolist()) for row in mesh.simplices}
         after = {frozenset(perm[row].tolist()) for row in mesh.simplices}
         assert before == after
@@ -563,7 +562,7 @@ class TestSymmetryOrbits:
     def test_rejects_non_integer_entries(self):
         # 0.4 added to the rotation used to truncate back to a symmetry
         mesh = build_counterexample_2d(2, 0.3)
-        perm = ring_rotation_permutation(mesh)
+        perm = symmetry_generators(mesh)[0]
         # np.asarray reads a True among ints as 1, which made [0, True, 2, 3]
         # pass as the identity and this list as the rotation
         with_bool = [True if v == 1 else v for v in perm.tolist()]
@@ -579,6 +578,12 @@ class TestSymmetryOrbits:
     def test_roles_require_labels(self):
         with pytest.raises(MissingLabels):
             vertex_roles(build_uniform_square(2))
+        # an apex labeled "center" would become the center and leave the real
+        # center neither a ring nor an apex
+        mesh = build_pyramid_partition(3, 0.1, 3)
+        labels = {v: "center" if lab == "apex 3" else lab for v, lab in mesh.labels.items()}
+        with pytest.raises(MissingLabels, match="^vertices 16 and 17 are both labeled 'center'$"):
+            vertex_roles(SimplicialMesh(mesh.vertices, mesh.simplices, labels))
 
     @pytest.mark.parametrize("entry", [symmetry_generators, reduced_ring_system])
     def test_ring_missing_a_corner(self, entry):
