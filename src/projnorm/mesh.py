@@ -14,7 +14,8 @@ The pairs yield the hanging nodes, by batched barycentric solves, and, for
 pairs sharing s < d vertices, an exact separating-hyperplane test.  Such a
 hyperplane contains the shared face, so pairs with s >= 1 try only the
 C(2(d+1-s), d-s) normals through it (15 or 4 in 3D), and vertex-disjoint
-pairs every facet normal of P - Q (44 in 3D, 862 in 5D).  The families are:
+pairs every facet normal of P - Q (44 in 3D, 862 in 5D), as exterior products
+of edges over pairs held coordinate-major, with no LAPACK call.  The families are:
 
 * ``build_counterexample_2d`` -- a square triangulated along a geometric
   sequence of shrinking concentric squares ("rings"),
@@ -395,6 +396,18 @@ def _candidate_edges(d, s):
             np.array(heads, dtype=np.intp).reshape(shape))
 
 
+def _cross(E):
+    """Generalized cross product of the d-1 edges E[:, i], E of shape (d, d-1, ...):
+    component k is (-1)**k times the minor without column k, and w[T] the minor
+    of edges 0..i on columns T, expanded along edge i.  For d = 1 it is 1."""
+    d = len(E)
+    w = {(): np.ones(E.shape[2:])}
+    for i in range(d - 1):
+        w = {T: sum((-1) ** (i - p) * E[c, i] * w[T[:p] + T[p + 1:]] for p, c in enumerate(T))
+             for T in itertools.combinations(range(d), i + 1)}
+    return np.stack([(-1) ** k * w[(*range(k), *range(k + 1, d))] for k in range(d)])
+
+
 def _interiors_overlap(P, Q, s):
     """Which simplex pairs (P[k], Q[k]), each (K, d+1, d), share interior points.
 
@@ -407,30 +420,29 @@ def _interiors_overlap(P, Q, s):
     shared-face candidates of _candidate_edges(d, s) are tried.  Edges are
     taken from the raw coordinates and scaled to unit length, projections
     from coordinates shifted to each pair's box center, and a gap within
-    _TOUCH_RTOL of the pair's extent times |n| counts as touching.
+    _TOUCH_RTOL of the pair's extent times |n| counts as touching.  Pairs are
+    held coordinate-major, X[x, v, k] for pair k, so reductions run over a
+    leading axis; normals are exterior products (_cross), with no LAPACK call.
     """
     K, _, d = P.shape
     tails, heads = _candidate_edges(d, s)
-    minors = [[c for c in range(d) if c != k] for k in range(d)]
-    signs = (-1.0) ** np.arange(d)
     overlap = np.empty(K, dtype=bool)
-    # per pair: the cofactor minors and the projections of both vertex sets
-    for rows in _row_blocks(K, tails.size * d * d + len(tails) * 2 * (d + 1)):
-        V = np.concatenate([P[rows], Q[rows]], axis=1)
-        lo, hi = V.min(axis=1), V.max(axis=1)
+    # per pair: the edges, the normals and the projections
+    for rows in _row_blocks(K, len(tails) * (d * d + 2 * (d + 1))):
+        X = np.concatenate([P[rows], Q[rows]], axis=1).transpose(2, 1, 0).copy()
+        lo, hi = X.min(axis=1), X.max(axis=1)                # (d, k)
         # edges before the shift: shifting a tiny simplex far from the box
         # center would round its edges to zero
-        E = V[:, heads] - V[:, tails]                        # (k, c, d-1, d)
-        E /= np.linalg.norm(E, axis=-1, keepdims=True)
-        V = V - ((lo + hi) / 2)[:, None, :]
-        cofactors = np.moveaxis(E[..., minors], -2, -3)      # (k, c, d, d-1, d-1)
-        normals = signs * np.linalg.det(cofactors)           # (k, c, d)
-        size = np.linalg.norm(normals, axis=-1)
-        proj = np.einsum("kvx,kcx->kcv", V, normals)
-        p, q = proj[..., : d + 1], proj[..., d + 1 :]
-        gap = np.maximum(p.min(axis=-1) - q.max(axis=-1), q.min(axis=-1) - p.max(axis=-1))
-        slack = _TOUCH_RTOL * (hi - lo).max(axis=1)[:, None] * size
-        overlap[rows] = ~((gap >= -slack) & (size > 0)).any(axis=1)
+        E = X[:, heads.T] - X[:, tails.T]                    # (d, d-1, c, k)
+        E /= np.sqrt(np.einsum("x...,x...->...", E, E))
+        normals = _cross(E)                                  # (d, c, k)
+        size = np.sqrt(np.einsum("x...,x...->...", normals, normals))
+        X -= ((lo + hi) / 2)[:, None, :]
+        proj = np.einsum("xvk,xck->vck", X, normals)         # (2(d+1), c, k)
+        p, q = proj[: d + 1], proj[d + 1 :]
+        gap = np.maximum(p.min(axis=0) - q.max(axis=0), q.min(axis=0) - p.max(axis=0))
+        slack = _TOUCH_RTOL * (hi - lo).max(axis=0) * size
+        overlap[rows] = ~((gap >= -slack) & (size > 0)).any(axis=0)
     return overlap
 
 
@@ -615,8 +627,8 @@ def vertex_roles(mesh):
     Returns ``(ring, corner, center, apexes)`` where ``ring[v]`` is the square
     index for corner vertices, J+1 for the center and -1 for apexes;
     ``corner[v]`` is 1..4 for corner vertices and 0 otherwise.  Raises
-    MissingLabels when the labels are absent, not of the constructor form or
-    name more than one center.
+    MissingLabels when the labels are absent, not of the constructor form, or
+    name more than one center or one (ring, corner) on two vertices.
     """
     n = mesh.n_vertices
     ring = np.full(n, -1, dtype=np.int64)
@@ -642,6 +654,13 @@ def vertex_roles(mesh):
             raise MissingLabels(f"unrecognized vertex label {lab!r}")
     if center < 0 or not (corner > 0).any():
         raise MissingLabels("mesh labels lack a center/ring structure")
+    key = ring * 5 + corner
+    ids = np.flatnonzero(corner > 0)[np.argsort(key[corner > 0], kind="stable")]
+    twins = np.flatnonzero(np.diff(key[ids]) == 0)
+    if twins.size:
+        a, b = ids[twins[0]], ids[twins[0] + 1]
+        raise MissingLabels(
+            f"vertices {a} and {b} are both labeled ring {ring[a]} corner {corner[a]}")
     ring[center] = ring[corner > 0].max() + 1
     return ring, corner, center, np.array(apexes, dtype=np.int64)
 

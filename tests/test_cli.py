@@ -139,12 +139,15 @@ class TestProjectCommand:
             # a mesh has one center; a second would make the witness data +1 everywhere
             ("labels", {"0": "ring 0 corner 1", "1": "ring 0 corner 2",
                         "2": "center", "3": "center"}, OSCILLATING),
+            # one corner label on two vertices would decode to wrong witness data
+            ("labels", {"0": "ring 0 corner 1", "1": "ring 0 corner 1",
+                        "2": "ring 0 corner 2", "3": "center"}, OSCILLATING),
         ],
         ids=["labels-list", "id-1e30", "id-fractional", "id-bool",
              "dim-fractional", "dim-float", "dim-string", "dim-bool",
              "label-empty", "label-ring-not-a-number",
              "label-underscore", "label-space", "label-out-of-range",
-             "label-second-center"],
+             "label-second-center", "label-twin-corner"],
     )
     def test_malformed_mesh_json_exits_2(self, tmp_path, capsys, field, value, data_args):
         mesh_file = tmp_path / "mesh.json"

@@ -306,15 +306,18 @@ class TestConformity:
             build_pyramid_partition(6, 0.01, 3),
             build_pyramid_partition(20, 0.01, 3),
             build_pyramid_partition(10, 0.01, 4),
+            build_pyramid_partition(40, 0.01, 3),
+            build_pyramid_partition(40, 0.01, 5),
         ],
-        ids=["cx-J20", "cx-J40", "cx-J60", "pyramid-d3-J6", "pyramid-d3-J20", "pyramid-d4-J10"],
+        ids=["cx-J20", "cx-J40", "cx-J60", "pyramid-d3-J6", "pyramid-d3-J20", "pyramid-d4-J10",
+             "pyramid-d3-J40", "pyramid-d5-J40"],
     )
     def test_graded_meshes_have_no_false_overlaps(self, mesh):
         assert validate_conformity(mesh) == []
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "54 false overlaps, each pair sharing only the apex, none of them "
-        "overlapping by the LP oracle: the candidate normals are cross products "
+        "64 false overlaps, each pair sharing only the apex, none of them "
+        "overlapping before the rotation: the candidate normals are cross products "
         "of two nearly parallel unit edges from the apex, so their direction is "
         "off by about eps / t**j, more than the gap slack allows for bases t**j "
         "across"))
@@ -435,6 +438,25 @@ class TestConformity:
                 assert found == overlap, (s, P, Q)
                 verdicts.append(overlap)
         assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_cross_is_the_exterior_product(self, d):
+        # rows R[k] of d-1 edges, scaled over 60 orders of magnitude
+        rng = np.random.default_rng(900 + d)
+        R = rng.standard_normal((200, d - 1, d)) * 10.0 ** rng.uniform(-30, 30, (200, 1, 1))
+        if d > 1:  # the Gram determinant below squares the condition number
+            R = R[np.linalg.cond(R) < 100]
+        n = meshmod._cross(R.transpose(2, 1, 0)).T                   # (K, d)
+        size = np.linalg.norm(n, axis=1)
+        dots = np.einsum("kix,kx->ki", R, n)
+        assert (np.abs(dots) <= 1e-13 * np.linalg.norm(R, axis=2) * size[:, None]).all()
+        gram = np.sqrt(np.linalg.det(R @ R.transpose(0, 2, 1)))
+        assert np.allclose(size, gram, rtol=1e-12, atol=0)
+        minors = [[c for c in range(d) if c != k] for k in range(d)]
+        cofactors = (-1.0) ** np.arange(d) * np.linalg.det(np.moveaxis(R[..., minors], -2, -3))
+        assert (np.abs(n - cofactors) <= 1e-12 * size[:, None]).all()
+        if d == 1:
+            assert (n == 1.0).all()
 
     def test_memory_is_blocked(self):
         # all i < j pairs of the 8,192 triangles as np.triu_indices would take
@@ -583,6 +605,15 @@ class TestSymmetryOrbits:
         mesh = build_pyramid_partition(3, 0.1, 3)
         labels = {v: "center" if lab == "apex 3" else lab for v, lab in mesh.labels.items()}
         with pytest.raises(MissingLabels, match="^vertices 16 and 17 are both labeled 'center'$"):
+            vertex_roles(SimplicialMesh(mesh.vertices, mesh.simplices, labels))
+
+    def test_roles_reject_a_corner_label_on_two_vertices(self):
+        # with ring 2 relabeled ring 1 the roles used to decode, and project
+        # --oscillating printed 2.751 instead of the true sup norm 3.787
+        mesh = build_counterexample_2d(2, 0.3)
+        labels = {v: lab.replace("ring 2", "ring 1") for v, lab in mesh.labels.items()}
+        with pytest.raises(MissingLabels,
+                           match="^vertices 4 and 8 are both labeled ring 1 corner 1$"):
             vertex_roles(SimplicialMesh(mesh.vertices, mesh.simplices, labels))
 
     @pytest.mark.parametrize("entry", [symmetry_generators, reduced_ring_system])
