@@ -53,6 +53,15 @@ def _parse_float_list(text):
     return _comma_list(text, float)
 
 
+def _parse_t_list(text):
+    """Distinct values of t: a repeated t would make the limit check fail on
+    equal errors, after every row was computed."""
+    values = _parse_float_list(text)
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+    return values
+
+
 def _comma_list(text, kind):
     """The comma-separated values of text read by kind; never empty."""
     values = [kind(p) for p in text.split(",") if p]
@@ -141,7 +150,7 @@ def build_parser():
                       help="growth persists for the d >= 3 joins")
     p.add_argument("--J", type=_parse_int_list, required=True,
                    help="single value, range a..b, or comma list")
-    p.add_argument("--t", type=_parse_float_list, required=True,
+    p.add_argument("--t", type=_parse_t_list, required=True,
                    help="single value (sweeps) or comma list (--limit)")
     p.add_argument("--d", type=int, default=3, help="dimension for --pyramid")
     p.add_argument("--with-norms", action="store_true",

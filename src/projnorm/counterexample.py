@@ -19,11 +19,11 @@ import numpy as np
 
 from .errors import InvalidParameter, NotEquivariant
 from .mesh import (
+    _symmetry_generators,
     build_counterexample_2d,
     build_pyramid_partition,
     check_integer,
     check_ring_parameters,
-    symmetry_generators,
     symmetry_orbits,
     vertex_roles,
 )
@@ -49,10 +49,13 @@ def oscillating_data(mesh):
     innermost fan (touching the center) counts as ring J+1.  Works for the 2D
     family and its pyramid joins; requires constructor labels.
     """
-    ring, _, _, _ = vertex_roles(mesh)
+    return _alternating(mesh, vertex_roles(mesh)[0])
+
+
+def _alternating(mesh, ring):
+    """oscillating_data from the vertex rings of vertex_roles."""
     simplex_ring = ring[mesh.simplices].max(axis=1)
-    values = np.where(simplex_ring % 2 == 0, 1.0, -1.0)
-    return CellwiseConstant(values)
+    return CellwiseConstant(np.where(simplex_ring % 2 == 0, 1.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -116,9 +119,16 @@ def reduced_ring_system(mesh):
     so the reduction has J+2 unknowns in 2D (one per ring plus the center) and
     J+3 for the pyramid joins (all apexes pool into one orbit).
     """
-    system = normalized_system(mesh, oscillating_data(mesh))
-    orbits = symmetry_orbits(mesh, symmetry_generators(mesh))
-    return reduce_by_symmetry(system, orbits)
+    data, orbits = _ring_witness(mesh)
+    return reduce_by_symmetry(normalized_system(mesh, data), orbits)
+
+
+def _ring_witness(mesh):
+    """The oscillating data and the symmetry orbits of a shrinking-square
+    mesh, from one decode of its labels."""
+    roles = vertex_roles(mesh)
+    orbits = symmetry_orbits(mesh, _symmetry_generators(mesh.n_vertices, roles))
+    return _alternating(mesh, roles[0]), orbits
 
 
 def limit_system_2d(J):
@@ -196,14 +206,20 @@ def convergence_study(J, t_list):
 
     For each t the orbit-reduced system is solved and compared entrywise with
     the closed-form limit; limit_error is the largest deviation and shrinks
-    like t as t -> 0.
+    like t as t -> 0.  Every t gives the same simplices and labels, so the
+    oscillating data and the orbits come from the first mesh alone; each t
+    assembles its own normalized system, which reduce_by_symmetry checks for
+    equivariance, as reduced_ring_system does.
     """
     x_hat = limit_solution_2d(J)
     records = []
+    first = None
     for t in t_list:
         mesh = build_counterexample_2d(J, float(t))
-        reduced = reduced_ring_system(mesh)
-        x = reduced.solve()
+        if first is None:
+            first, (data, orbits) = mesh, _ring_witness(mesh)
+        assert np.array_equal(mesh.simplices, first.simplices) and mesh.labels == first.labels
+        x = reduce_by_symmetry(normalized_system(mesh, data), orbits).solve()
         records.append(
             SweepRecord(
                 J=J,

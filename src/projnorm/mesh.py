@@ -14,8 +14,10 @@ The pairs yield the hanging nodes, by batched barycentric solves, and, for
 pairs sharing s < d vertices, an exact separating-hyperplane test.  Such a
 hyperplane contains the shared face, so pairs with s >= 1 try only the
 C(2(d+1-s), d-s) normals through it (15 or 4 in 3D), and vertex-disjoint
-pairs every facet normal of P - Q (44 in 3D, 862 in 5D), as exterior products
-of edges over pairs held coordinate-major, with no LAPACK call.  The families are:
+pairs every facet normal of P - Q (44 in 3D, 862 in 5D).  The facet normals
+of P and Q go first (6 of 15, or 8 of 44, in 3D); the rest are tried only
+on the pairs those leave unseparated.  Normals are exterior products of
+edges over pairs held coordinate-major, with no LAPACK call.  The families are:
 
 * ``build_counterexample_2d`` -- a square triangulated along a geometric
   sequence of shrinking concentric squares ("rings"),
@@ -365,35 +367,42 @@ def _row_blocks(n_rows, row_size):
 
 
 def _candidate_edges(d, s):
-    """Tail and head indices of the d-1 edges spanning each candidate normal.
+    """Tail and head indices of the d-1 edges spanning each candidate normal,
+    and the number of leading candidates that are facet normals of P or Q.
 
     Indices refer to the 2(d+1) stacked vertices of a pair, P's then Q's.
     For pairs sharing s >= 1 vertices, stacked shared-first in the same order
     in both simplices, a separating hyperplane contains the shared face, so
     every candidate joins shared vertex 0 to the s-1 other shared vertices and
     to d-s of the 2(d+1-s) non-shared vertices of either simplex:
-    C(2(d+1-s), d-s) candidates (15 or 4 in 3D and on 5D pyramid pairs).  For
-    s = 0 and a = 0..d-1, a candidate joins the a edges of an a-face of P at
-    its first vertex with the d-1-a edges of a (d-1-a)-face of Q, so every
-    facet normal of P - Q is among the cross products (44 in 3D, 862 in 5D).
+    C(2(d+1-s), d-s) candidates (15 or 4 in 3D and on 5D pyramid pairs).  The
+    2(d+1-s) whose d-s vertices all lie in one simplex, the facets of P and Q
+    through the shared face, come first.  For s = 0 and a = 0..d-1, a
+    candidate joins the a edges of an a-face of P at its first vertex with the
+    d-1-a edges of a (d-1-a)-face of Q, so every facet normal of P - Q is
+    among the cross products (44 in 3D, 862 in 5D).  The facets of P (a = d-1)
+    and of Q (a = 0) come first: 2(d+1) of them, or the one candidate in 1D.
     """
     tails, heads = [], []
     if s:
         loose = [*range(s, d + 1), *range(d + 1 + s, 2 * d + 2)]
-        for rest in itertools.combinations(loose, d - s):
+        # a combination is mixed when it takes vertices of both P and Q
+        for rest in sorted(itertools.combinations(loose, d - s), key=lambda r: r[0] <= d < r[-1]):
             tails.append([0] * (d - 1))
             heads.append([*range(1, s), *rest])
+        facets = 2 * (d + 1 - s)
     else:
-        for a in range(d):
+        for a in dict.fromkeys([d - 1, 0, *range(1, d - 1)]):
             p_faces = itertools.combinations(range(d + 1), a + 1) if a else [(0,)]
             q_faces = (itertools.combinations(range(d + 1, 2 * d + 2), d - a)
                        if a < d - 1 else [(d + 1,)])
             for fp, fq in itertools.product(p_faces, q_faces):
                 tails.append([fp[0]] * a + [fq[0]] * (d - 1 - a))
                 heads.append(list(fp[1:]) + list(fq[1:]))
+        facets = min(len(tails), 2 * (d + 1))
     shape = (len(tails), d - 1)
     return (np.array(tails, dtype=np.intp).reshape(shape),
-            np.array(heads, dtype=np.intp).reshape(shape))
+            np.array(heads, dtype=np.intp).reshape(shape), facets)
 
 
 def _cross(E):
@@ -408,24 +417,17 @@ def _cross(E):
     return np.stack([(-1) ** k * w[(*range(k), *range(k + 1, d))] for k in range(d)])
 
 
-def _interiors_overlap(P, Q, s):
-    """Which simplex pairs (P[k], Q[k]), each (K, d+1, d), share interior points.
+def _unseparated(P, Q, tails, heads):
+    """Which pairs (P[k], Q[k]) no candidate normal (tails, heads) separates.
 
-    Two simplices have disjoint interiors iff some hyperplane weakly separates
-    their vertex sets, and it suffices to try the facet normals of P - Q: the
-    generalized cross products of _candidate_edges.  When every pair shares
-    its first s vertices, in the same order in P and Q, any such hyperplane
-    contains the shared face: its normal is a facet normal of the cone spanned
-    at shared vertex 0 by P's other vertices and Q's negated, so only the
-    shared-face candidates of _candidate_edges(d, s) are tried.  Edges are
-    taken from the raw coordinates and scaled to unit length, projections
-    from coordinates shifted to each pair's box center, and a gap within
-    _TOUCH_RTOL of the pair's extent times |n| counts as touching.  Pairs are
-    held coordinate-major, X[x, v, k] for pair k, so reductions run over a
-    leading axis; normals are exterior products (_cross), with no LAPACK call.
+    Edges are taken from the raw coordinates and scaled to unit length,
+    projections from coordinates shifted to each pair's box center, and a gap
+    within _TOUCH_RTOL of the pair's extent times |n| counts as touching.
+    Pairs are held coordinate-major, X[x, v, k] for pair k, so reductions run
+    over a leading axis; normals are exterior products (_cross), with no
+    LAPACK call.
     """
     K, _, d = P.shape
-    tails, heads = _candidate_edges(d, s)
     overlap = np.empty(K, dtype=bool)
     # per pair: the edges, the normals and the projections
     for rows in _row_blocks(K, len(tails) * (d * d + 2 * (d + 1))):
@@ -443,6 +445,30 @@ def _interiors_overlap(P, Q, s):
         gap = np.maximum(p.min(axis=0) - q.max(axis=0), q.min(axis=0) - p.max(axis=0))
         slack = _TOUCH_RTOL * (hi - lo).max(axis=0) * size
         overlap[rows] = ~((gap >= -slack) & (size > 0)).any(axis=0)
+    return overlap
+
+
+def _interiors_overlap(P, Q, s):
+    """Which simplex pairs (P[k], Q[k]), each (K, d+1, d), share interior points.
+
+    Two simplices have disjoint interiors iff some hyperplane weakly separates
+    their vertex sets, and it suffices to try the facet normals of P - Q: the
+    generalized cross products of _candidate_edges.  When every pair shares
+    its first s vertices, in the same order in P and Q, any such hyperplane
+    contains the shared face: its normal is a facet normal of the cone spanned
+    at shared vertex 0 by P's other vertices and Q's negated, so only the
+    shared-face candidates of _candidate_edges(d, s) are tried.  A first pass
+    tries the facet normals of P and Q, which separate most disjoint pairs; a
+    second tries the other candidates on the pairs the first left
+    unseparated.  A pair overlaps when no candidate separates it, so the
+    verdicts are those of one pass over every candidate.  In 1D and 2D, and
+    for s = d-1, every candidate is a facet normal and one pass is made.
+    """
+    tails, heads, facets = _candidate_edges(P.shape[2], s)
+    overlap = _unseparated(P, Q, tails[:facets], heads[:facets])
+    k = np.flatnonzero(overlap)
+    if facets < len(tails) and k.size:
+        overlap[k] = _unseparated(P[k], Q[k], tails[facets:], heads[facets:])
     return overlap
 
 
@@ -672,9 +698,14 @@ def symmetry_generators(mesh):
     Raises MissingLabels when the labels are not of the constructor form or a
     labeled ring lacks one of its four corners.
     """
-    ring, corner, _, apexes = vertex_roles(mesh)
+    return _symmetry_generators(mesh.n_vertices, vertex_roles(mesh))
+
+
+def _symmetry_generators(n, roles):
+    """symmetry_generators of an n-vertex mesh from its vertex_roles."""
+    ring, corner, _, apexes = roles
     where = {(int(ring[v]), int(corner[v])): v for v in np.flatnonzero(corner > 0).tolist()}
-    rotation = np.arange(mesh.n_vertices)
+    rotation = np.arange(n)
     for (j, i), v in where.items():
         image = where.get((j, i % 4 + 1))
         if image is None:
@@ -682,7 +713,7 @@ def symmetry_generators(mesh):
         rotation[v] = image
     generators = [rotation]
     for a, b in zip(apexes[:-1], apexes[1:]):
-        perm = np.arange(mesh.n_vertices)
+        perm = np.arange(n)
         perm[a], perm[b] = b, a
         generators.append(perm)
     return generators

@@ -302,18 +302,24 @@ class TestReproduceCommand:
         assert run("reproduce", "--limit", "--J", "1..3", "--t", "0.1",
                    "-o", str(tmp_path / "s.csv")) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ("--theorem", "--J", ",", "--t", "0.01"),
-        ("--theorem", "--J", "", "--t", "0.01"),
-        ("--limit", "--J", "3", "--t", ","),
-    ], ids=["comma", "blank", "limit-t-comma"])
-    def test_empty_J_exits_2(self, tmp_path, capsys, argv):
-        # an empty sweep would pass the theorem or limit check without a single row
+    @pytest.mark.parametrize("argv, message", [
+        (("--theorem", "--J", ",", "--t", "0.01"), "no values"),
+        (("--theorem", "--J", "", "--t", "0.01"), "no values"),
+        (("--limit", "--J", "3", "--t", ","), "no values"),
+        (("--limit", "--J", "5", "--t", "0.1,0.1"), "repeated value in '0.1,0.1'"),
+    ], ids=["comma", "blank", "limit-t-comma", "limit-t-repeated"])
+    def test_empty_J_exits_2(self, tmp_path, capsys, monkeypatch, argv, message):
+        # an empty sweep would pass the theorem or limit check without a single
+        # row; a repeated t made the limit check fail on two equal errors
+        def build(*args):
+            raise AssertionError("a mesh was built before the sweep was refused")
+
+        monkeypatch.setattr(counterexample, "build_counterexample_2d", build)
         out = tmp_path / "s.csv"
         with pytest.raises(SystemExit) as caught:
             run("reproduce", *argv, "-o", str(out))
         assert caught.value.code == 2
-        assert "no values" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_huge_J_range_stops_at_the_underflow_guard(self, tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from projnorm import counterexample, projection
 from projnorm import mesh as meshmod
 from projnorm import (
     InvalidParameter,
+    SweepRecord,
     MissingLabels,
     NotEquivariant,
     build_counterexample_2d,
@@ -108,8 +109,8 @@ class TestReduction:
                                        lambda: build_pyramid_partition(2, 0.1, 4)],
                              ids=["2d", "pyramid"])
     def test_one_label_decode_per_symmetry_call(self, monkeypatch, build):
-        # symmetry_generators decodes the labels once; reduced_ring_system
-        # decodes them once more, for the oscillating data
+        # symmetry_generators decodes the labels once, and reduced_ring_system
+        # once for both the oscillating data and the orbits
         calls = Counter()
         decode = meshmod.vertex_roles
 
@@ -124,7 +125,7 @@ class TestReduction:
         assert calls == {"vertex_roles": 1}
         calls.clear()
         reduced_ring_system(mesh)
-        assert calls == {"vertex_roles": 2}
+        assert calls == {"vertex_roles": 1}
 
     def test_rejects_non_equivariant_orbits(self):
         mesh = build_counterexample_2d(2, 0.3)
@@ -281,6 +282,36 @@ class TestSweeps:
         errs = [r.limit_error for r in records]
         assert errs[0] > errs[1] > errs[2]
         assert all(r.exact_operator_norm is None for r in records)
+
+    @pytest.mark.parametrize("ts", [[1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4], [0.2, 0.1, 0.05]],
+                             ids=["bench", "readme"])
+    def test_convergence_study_matches_per_t_reductions(self, monkeypatch, ts):
+        # one label decode and one orbit partition serve the whole sweep, and
+        # the rows are those of one reduced_ring_system per t
+        x_hat = limit_solution_2d(20)
+        expected = []
+        for t in ts:
+            x = reduced_ring_system(build_counterexample_2d(20, t)).solve()
+            expected.append(SweepRecord(J=20, t=t, d=2, sup_norm=float(np.abs(x).max()),
+                                        limit_error=float(np.abs(x - x_hat).max())))
+        calls = Counter()
+        for name in ("symmetry_orbits", "vertex_roles"):
+            def counted(*args, fn=getattr(counterexample, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(counterexample, name, counted)
+        assert sweep_to_csv(convergence_study(20, ts)) == sweep_to_csv(expected)
+        assert calls == {"symmetry_orbits": 1, "vertex_roles": 1}
+
+    def test_convergence_study_checks_every_mesh_against_the_first(self, monkeypatch):
+        # the first mesh's data and orbits are reused only while the simplices
+        # and labels match
+        build = counterexample.build_counterexample_2d
+        monkeypatch.setattr(counterexample, "build_counterexample_2d",
+                            lambda J, t: build(J if t > 0.1 else J + 1, t))
+        with pytest.raises(AssertionError):
+            convergence_study(2, [0.2, 0.05])
 
     def test_convergence_study_near_limit_value(self):
         (rec,) = convergence_study(2, [1e-3])

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import oracles
+from hypothesis import given, settings, strategies as st
 from oracles import lp_interiors_overlap, random_simplex_vertices
 
 from projnorm import (
@@ -35,6 +36,56 @@ from projnorm import (
 )
 from projnorm import mesh as meshmod
 from projnorm.mesh import _candidate_edges
+
+
+def negated_corner_join(J, t, d):
+    # ring 11 corner 1 reflected through the center folds its simplices over
+    # their neighbors
+    mesh = build_pyramid_partition(J, t, d)
+    verts = mesh.vertices.copy()
+    verts[next(v for v, lab in mesh.labels.items() if lab == "ring 11 corner 1"), :2] *= -1
+    return SimplicialMesh(verts, mesh.simplices)
+
+
+def rotated_join(J, t, d):
+    mesh = build_pyramid_partition(J, t, d)
+    Q = np.linalg.qr(np.random.default_rng(11).standard_normal((d, d)))[0]
+    return SimplicialMesh(mesh.vertices @ Q.T, mesh.simplices)
+
+
+def jittered_join(J, t, d, amplitude, rng):
+    # every base vertex moves by up to amplitude times its ring's size
+    mesh = build_pyramid_partition(J, t, d)
+    ring = vertex_roles(mesh)[0]
+    base = ring >= 0
+    verts = mesh.vertices.copy()
+    verts[base, :2] += rng.uniform(-amplitude, amplitude, (base.sum(), 2)) * t ** ring[base, None]
+    return SimplicialMesh(verts, mesh.simplices)
+
+
+def simplex_soup(d, rng, n, pool=None):
+    """n random d-simplices: vertex-disjoint, or drawn from pool shared points."""
+    if pool is None:
+        verts = np.vstack([random_simplex_vertices(rng, d) + rng.uniform(-1.0, 1.0, d)
+                           for _ in range(n)])
+        return SimplicialMesh(verts, np.arange(n * (d + 1)).reshape(n, d + 1))
+    ids = np.array([rng.choice(pool, d + 1, replace=False) for _ in range(n)])
+    used, ids = np.unique(ids, return_inverse=True)
+    return SimplicialMesh(rng.uniform(-1.0, 1.0, (pool, d))[used], ids.reshape(n, d + 1))
+
+
+def one_pass_violations(mesh, facets_only=False):
+    """validate_conformity with every candidate normal (or only the facet
+    normals) tried in one pass of _unseparated."""
+    def one_pass(P, Q, s):
+        tails, heads, facets = _candidate_edges(P.shape[2], s)
+        if facets_only:
+            tails, heads = tails[:facets], heads[:facets]
+        return meshmod._unseparated(P, Q, tails, heads)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshmod, "_interiors_overlap", one_pass)
+        return validate_conformity(mesh)
 
 
 def unit_triangle():
@@ -322,9 +373,77 @@ class TestConformity:
         "off by about eps / t**j, more than the gap slack allows for bases t**j "
         "across"))
     def test_rotated_join_has_no_false_overlaps(self):
-        base = build_pyramid_partition(8, 0.1, 3)
-        Q = np.linalg.qr(np.random.default_rng(11).standard_normal((3, 3)))[0]
-        assert validate_conformity(SimplicialMesh(base.vertices @ Q.T, base.simplices)) == []
+        assert validate_conformity(rotated_join(8, 0.1, 3)) == []
+
+    @pytest.mark.parametrize("build, violations, second_pass", [
+        (lambda: build_pyramid_partition(40, 0.01, 3), 0, False),
+        (lambda: build_pyramid_partition(20, 0.01, 4), 0, False),
+        (lambda: build_pyramid_partition(40, 0.01, 5), 0, False),
+        (lambda: negated_corner_join(12, 0.1, 3), 54, None),
+        (lambda: negated_corner_join(12, 0.1, 4), 54, None),
+        (lambda: negated_corner_join(12, 0.1, 5), 54, None),
+        (lambda: rotated_join(8, 0.1, 3), 64, True),
+        (lambda: rotated_join(6, 0.1, 4), 7, None),
+        (lambda: simplex_soup(3, np.random.default_rng(3), 8), 11, None),
+        (lambda: simplex_soup(4, np.random.default_rng(4), 8), 2, None),
+        (lambda: simplex_soup(5, np.random.default_rng(5), 8), 0, True),
+        (lambda: simplex_soup(3, np.random.default_rng(13), 8, pool=8), None, None),
+        (lambda: simplex_soup(4, np.random.default_rng(14), 8, pool=10), None, None),
+        (lambda: simplex_soup(5, np.random.default_rng(15), 8, pool=12), None, None),
+    ], ids=["clean-d3-J40", "clean-d4-J20", "clean-d5-J40", "negated-d3", "negated-d4",
+            "negated-d5", "rotated-d3-J8", "rotated-d4-J6", "soup-d3", "soup-d4", "soup-d5",
+            "shared-soup-d3", "shared-soup-d4", "shared-soup-d5"])
+    def test_two_passes_match_one_pass_over_every_candidate(self, monkeypatch, build,
+                                                            violations, second_pass):
+        # the second pass tries the other candidates only on the pairs the
+        # facet normals leave unseparated; passes[k] lists the pairs each
+        # pass of kernel call k takes, and second_pass says whether any
+        # pair reaches a second pass (None: not asserted)
+        mesh = build()
+        kernel, unseparated = meshmod._interiors_overlap, meshmod._unseparated
+        passes = []
+
+        def traced_kernel(P, Q, s):
+            passes.append([])
+            return kernel(P, Q, s)
+
+        def traced_unseparated(P, Q, tails, heads):
+            passes[-1].append(len(P))
+            return unseparated(P, Q, tails, heads)
+
+        monkeypatch.setattr(meshmod, "_interiors_overlap", traced_kernel)
+        monkeypatch.setattr(meshmod, "_unseparated", traced_unseparated)
+        got = validate_conformity(mesh)
+        monkeypatch.undo()
+        assert got == one_pass_violations(mesh)
+        if violations is not None:
+            assert len(got) == violations
+        second = sum(sum(p[1:]) for p in passes)
+        assert second_pass is None or (second > 0) == second_pass
+
+    def test_facet_normals_alone_report_false_overlaps(self):
+        # vertex-disjoint 5-simplices that only edge-combination normals separate
+        mesh = simplex_soup(5, np.random.default_rng(5), 8)
+        assert validate_conformity(mesh) == []
+        false = one_pass_violations(mesh, facets_only=True)
+        assert len(false) == 5
+        for v in false:
+            a, b = map(int, re.findall(r"\d+", v))
+            assert not lp_interiors_overlap(*mesh.vertices[mesh.simplices[[a, b]]])
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 6), st.floats(0.05, 0.5), st.integers(3, 5), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_two_passes_match_one_pass_on_jittered_joins(self, J, t, d, amplitude, seed):
+        mesh = jittered_join(J, t, d, amplitude, np.random.default_rng(seed))
+        assert validate_conformity(mesh) == one_pass_violations(mesh)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 5), st.integers(2, 10), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_two_passes_match_one_pass_on_simplex_soups(self, d, n, shared, seed):
+        rng = np.random.default_rng(seed)
+        mesh = simplex_soup(d, rng, n, pool=2 * (d + 1) if shared else None)
+        assert validate_conformity(mesh) == one_pass_violations(mesh)
 
     def test_star_of_david_crossing(self):
         # no shared vertex, and no vertex of either triangle inside the other
