@@ -152,7 +152,7 @@ def build_parser():
                    help="single value, range a..b, or comma list")
     p.add_argument("--t", type=_parse_t_list, required=True,
                    help="single value (sweeps) or comma list (--limit)")
-    p.add_argument("--d", type=int, default=3, help="dimension for --pyramid")
+    p.add_argument("--d", type=int, help="dimension for --pyramid (default 3)")
     p.add_argument("--with-norms", action="store_true",
                    help="also record exact operator norms and inverse bounds")
     p.add_argument("-o", "--output", required=True, help="CSV file")
@@ -229,6 +229,11 @@ def cmd_norm(args):
 
 
 def cmd_reproduce(args):
+    # an option the mode ignores would leave a sweep that looks as asked for
+    if args.limit and args.with_norms:
+        build_parser().error("--with-norms applies to --theorem and --pyramid, not --limit")
+    if args.d is not None and not args.pyramid:
+        build_parser().error("--d applies only to --pyramid")
     if args.theorem:
         t = _single(args.t, "--t")
         records = ce.growth_sweep(args.J, t, d=2, with_norms=args.with_norms)
@@ -257,9 +262,10 @@ def cmd_reproduce(args):
         return EXIT_OK
 
     # --pyramid
-    meshmod.check_integer(args.d, 3, f"pyramid partitions need d >= 3, got {args.d!r}")
+    d = 3 if args.d is None else args.d
+    meshmod.check_integer(d, 3, f"pyramid partitions need d >= 3, got {d!r}")
     t = _single(args.t, "--t")
-    records = ce.growth_sweep(args.J, t, d=args.d, with_norms=args.with_norms)
+    records = ce.growth_sweep(args.J, t, d=d, with_norms=args.with_norms)
     _write_csv(records, args.output)
     js = np.array([r.J for r in records], dtype=float)
     sups = np.array([r.sup_norm for r in records])

@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import InvalidParameter, NotEquivariant
 from .mesh import (
-    _symmetry_generators,
     build_counterexample_2d,
     build_pyramid_partition,
     check_integer,
     check_ring_parameters,
+    symmetry_generators,
     symmetry_orbits,
-    vertex_roles,
 )
 from .projection import (
     CellwiseConstant,
@@ -49,12 +48,7 @@ def oscillating_data(mesh):
     innermost fan (touching the center) counts as ring J+1.  Works for the 2D
     family and its pyramid joins; requires constructor labels.
     """
-    return _alternating(mesh, vertex_roles(mesh)[0])
-
-
-def _alternating(mesh, ring):
-    """oscillating_data from the vertex rings of vertex_roles."""
-    simplex_ring = ring[mesh.simplices].max(axis=1)
+    simplex_ring = mesh.ring_roles[0][mesh.simplices].max(axis=1)
     return CellwiseConstant(np.where(simplex_ring % 2 == 0, 1.0, -1.0))
 
 
@@ -119,16 +113,8 @@ def reduced_ring_system(mesh):
     so the reduction has J+2 unknowns in 2D (one per ring plus the center) and
     J+3 for the pyramid joins (all apexes pool into one orbit).
     """
-    data, orbits = _ring_witness(mesh)
-    return reduce_by_symmetry(normalized_system(mesh, data), orbits)
-
-
-def _ring_witness(mesh):
-    """The oscillating data and the symmetry orbits of a shrinking-square
-    mesh, from one decode of its labels."""
-    roles = vertex_roles(mesh)
-    orbits = symmetry_orbits(mesh, _symmetry_generators(mesh.n_vertices, roles))
-    return _alternating(mesh, roles[0]), orbits
+    orbits = symmetry_orbits(mesh, symmetry_generators(mesh))
+    return reduce_by_symmetry(normalized_system(mesh, oscillating_data(mesh)), orbits)
 
 
 def limit_system_2d(J):
@@ -217,7 +203,8 @@ def convergence_study(J, t_list):
     for t in t_list:
         mesh = build_counterexample_2d(J, float(t))
         if first is None:
-            first, (data, orbits) = mesh, _ring_witness(mesh)
+            first, orbits = mesh, symmetry_orbits(mesh, symmetry_generators(mesh))
+            data = oscillating_data(mesh)
         assert np.array_equal(mesh.simplices, first.simplices) and mesh.labels == first.labels
         x = reduce_by_symmetry(normalized_system(mesh, data), orbits).solve()
         records.append(

@@ -96,12 +96,12 @@ class SimplicialMesh:
         row, and every vertex must be referenced by at least one simplex.
     labels : dict[int, str], optional
         Optional per-vertex labels (the family constructors use these to
-        record the ring/corner structure).
+        record the ring/corner structure), keyed by vertex id.
 
     Raises
     ------
     InvalidParameter
-        On malformed arrays, out-of-range ids or unreferenced vertices.
+        On malformed arrays or labels, out-of-range ids or unreferenced vertices.
     DegenerateSimplex
         If any simplex has volume <= VOLUME_EPSILON.
     """
@@ -131,6 +131,13 @@ class SimplicialMesh:
         if not referenced.all():
             orphan = int(np.flatnonzero(~referenced)[0])
             raise InvalidParameter(f"vertex {orphan} is not referenced by any simplex")
+        labels = dict(labels) if labels else {}
+        for k, label in labels.items():
+            # True is not vertex 1, nor None the label "None"
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n:
+                raise InvalidParameter(f"label key {k!r} is not a vertex id 0..{n - 1}")
+            if not isinstance(label, str):
+                raise InvalidParameter(f"label of vertex {k} is not a string: {label!r}")
 
         vols = _volumes(vertices, simplices)
         if (vols <= VOLUME_EPSILON).any():
@@ -145,7 +152,7 @@ class SimplicialMesh:
         self.vertices = vertices
         self.simplices = simplices
         self._volumes = vols
-        self._labels = dict(labels) if labels else {}
+        self._labels = labels
 
     @property
     def dim(self):
@@ -167,6 +174,14 @@ class SimplicialMesh:
     def labels(self):
         """Read-only view of the vertex label map."""
         return types.MappingProxyType(self._labels)
+
+    @cached_property
+    def ring_roles(self):
+        """vertex_roles(self), decoded once per mesh; the arrays are read-only."""
+        roles = vertex_roles(self)
+        for a in roles[0], roles[1], roles[3]:
+            a.setflags(write=False)
+        return roles
 
     @cached_property
     def vertex_to_simplices(self):
@@ -698,14 +713,9 @@ def symmetry_generators(mesh):
     Raises MissingLabels when the labels are not of the constructor form or a
     labeled ring lacks one of its four corners.
     """
-    return _symmetry_generators(mesh.n_vertices, vertex_roles(mesh))
-
-
-def _symmetry_generators(n, roles):
-    """symmetry_generators of an n-vertex mesh from its vertex_roles."""
-    ring, corner, _, apexes = roles
+    ring, corner, _, apexes = mesh.ring_roles
     where = {(int(ring[v]), int(corner[v])): v for v in np.flatnonzero(corner > 0).tolist()}
-    rotation = np.arange(n)
+    rotation = np.arange(mesh.n_vertices)
     for (j, i), v in where.items():
         image = where.get((j, i % 4 + 1))
         if image is None:
@@ -713,7 +723,7 @@ def _symmetry_generators(n, roles):
         rotation[v] = image
     generators = [rotation]
     for a, b in zip(apexes[:-1], apexes[1:]):
-        perm = np.arange(n)
+        perm = np.arange(mesh.n_vertices)
         perm[a], perm[b] = b, a
         generators.append(perm)
     return generators
@@ -782,27 +792,25 @@ def mesh_from_dict(data):
         raise InvalidParameter("mesh data: simplex ids must be integers")
     if vertices.ndim != 2 or vertices.shape[1] != dim:
         raise InvalidParameter("mesh data: vertices do not match the declared dim")
-    n = len(vertices)
-    labels = {_vertex_id(k, n): str(v) for k, v in labels.items()}
+    labels = {_vertex_id(k): v for k, v in labels.items()}
     return SimplicialMesh(vertices, simplices, labels)
 
 
-def _vertex_id(key, n):
-    """The vertex id a label key names; InvalidParameter unless the key is the
-    decimal form of an id in 0..n-1 ("1_0", " 2" and "02" are not)."""
+def _vertex_id(key):
+    """The integer whose decimal form the label key is ("1_0", " 2" and "02" are not)."""
     try:
         vertex = int(key)
     except (TypeError, ValueError):
         vertex = None
-    if vertex is None or str(vertex) != key or not 0 <= vertex < n:
-        raise InvalidParameter(f"mesh data: label key {key!r} is not a vertex id 0..{n - 1}")
+    if vertex is None or str(vertex) != key:
+        raise InvalidParameter(f"mesh data: label key {key!r} is not a vertex id")
     return vertex
 
 
 def mesh_from_json(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deep
         raise InvalidParameter(f"malformed mesh file: {exc}") from exc
     return mesh_from_dict(data)
 

@@ -334,9 +334,7 @@ def _operator_norm(mesh, M, solve):
         row_sum = max(row_sum, float(sums.max()))
         # best is 0 for the seed block, which keeps all of it
         keep = half * sums >= best * (1.0 - _TIE_RTOL) * (1.0 - _PRUNE_RTOL)
-        if keep.all():
-            totals[start:stop] = _abs_integrals(mesh, psi)
-        elif keep.any():
+        if keep.any():
             totals[start:stop][keep] = _abs_integrals(mesh, psi[keep])
         best = max(best, float(totals[start:stop].max()))
     witness = int(np.argmax(totals >= best * (1.0 - _TIE_RTOL)))

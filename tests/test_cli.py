@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import runpy
 import sys
@@ -5,8 +8,10 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from projnorm import cli, counterexample, load_mesh, mesh_to_dict, projection
+from projnorm import (build_uniform_square, cli, counterexample, load_mesh, mesh_to_dict,
+                      projection)
 
 
 def run(*argv):
@@ -16,6 +21,20 @@ def run(*argv):
 # data options of project: two values for the two triangles of uniform n=1
 VALUES = ("--values", "1,2")
 OSCILLATING = ("--oscillating",)
+
+
+# a valid mesh file for VALUES, and the places a fuzzed file changes it
+FUZZ_MESH = {**mesh_to_dict(build_uniform_square(1)), "labels": {"0": "corner", "3": "x"}}
+FUZZ_SITES = [("dim",), ("vertices",), ("vertices", 1), ("vertices", 1, 0), ("simplices",),
+              ("simplices", 1), ("simplices", 1, 2), ("labels",), ("labels", "0"),
+              ("labels", "3")]
+# JSON text of wrong types, bools, non-finite numbers, label maps and ragged or
+# nested lists
+FUZZ_VALUES = st.recursive(
+    st.sampled_from(["null", "true", "false", "NaN", "1e400", "-1e400", "-1", "0", "2.5",
+                     "7", '"0"', '"center"', "{}", '{"0": 1}', '{"-1": "x"}', '{"4": "x"}']),
+    lambda inner: st.lists(inner, max_size=3).map(lambda items: f"[{','.join(items)}]"),
+    max_leaves=6)
 
 
 class TestMeshCommand:
@@ -136,6 +155,9 @@ class TestProjectCommand:
             ("labels", {"0_1": "center"}, VALUES),
             ("labels", {" 2": "center"}, VALUES),
             ("labels", {"999": "center"}, VALUES),
+            # a label is a string: null and [3] are not "None" and "[3]"
+            ("labels", {"0": None}, VALUES),
+            ("labels", {"0": [3]}, VALUES),
             # a mesh has one center; a second would make the witness data +1 everywhere
             ("labels", {"0": "ring 0 corner 1", "1": "ring 0 corner 2",
                         "2": "center", "3": "center"}, OSCILLATING),
@@ -146,7 +168,7 @@ class TestProjectCommand:
         ids=["labels-list", "id-1e30", "id-fractional", "id-bool",
              "dim-fractional", "dim-float", "dim-string", "dim-bool",
              "label-empty", "label-ring-not-a-number",
-             "label-underscore", "label-space", "label-out-of-range",
+             "label-underscore", "label-space", "label-out-of-range", "label-null", "label-number",
              "label-second-center", "label-twin-corner"],
     )
     def test_malformed_mesh_json_exits_2(self, tmp_path, capsys, field, value, data_args):
@@ -161,6 +183,39 @@ class TestProjectCommand:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    def test_deeply_nested_mesh_file_exits_2(self, tmp_path, capsys):
+        # deeper than the JSON decoder's recursion allows
+        mesh_file = tmp_path / "deep.json"
+        mesh_file.write_text("[" * 100000)
+        assert run("project", "--mesh", str(mesh_file), "--values", "1",
+                   "-o", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.sampled_from(FUZZ_SITES), st.none() | FUZZ_VALUES)
+    def test_mutated_mesh_file_exits_0_or_2(self, tmp_path_factory, site, value):
+        # one field of a valid 2-triangle mesh file deleted (None) or replaced
+        data = copy.deepcopy(FUZZ_MESH)
+        *path, last = site
+        node = data
+        for key in path:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = "MUTANT"
+        mesh_file = tmp_path_factory.getbasetemp() / "fuzz.json"
+        mesh_file.write_text(json.dumps(data).replace('"MUTANT"', value or ""))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run("project", "--mesh", str(mesh_file), *VALUES,
+                       "-o", str(tmp_path_factory.getbasetemp() / "fuzz-report.json"))
+        assert code in (0, 2)
+        assert code == 0 or "error:" in err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
 
     def test_missing_mesh_file_exits_2(self, tmp_path):
         assert run("project", "--mesh", str(tmp_path / "absent.json"),
@@ -307,7 +362,11 @@ class TestReproduceCommand:
         (("--theorem", "--J", "", "--t", "0.01"), "no values"),
         (("--limit", "--J", "3", "--t", ","), "no values"),
         (("--limit", "--J", "5", "--t", "0.1,0.1"), "repeated value in '0.1,0.1'"),
-    ], ids=["comma", "blank", "limit-t-comma", "limit-t-repeated"])
+        # options the mode would ignore, leaving empty norm columns or a 2D sweep
+        (("--limit", "--J", "3", "--t", "0.1,0.05", "--with-norms"), "--with-norms applies"),
+        (("--theorem", "--J", "2", "--t", "0.1", "--d", "5"), "--d applies only to --pyramid"),
+    ], ids=["comma", "blank", "limit-t-comma", "limit-t-repeated", "limit-with-norms",
+            "theorem-d"])
     def test_empty_J_exits_2(self, tmp_path, capsys, monkeypatch, argv, message):
         # an empty sweep would pass the theorem or limit check without a single
         # row; a repeated t made the limit check fail on two equal errors

@@ -109,8 +109,8 @@ class TestReduction:
                                        lambda: build_pyramid_partition(2, 0.1, 4)],
                              ids=["2d", "pyramid"])
     def test_one_label_decode_per_symmetry_call(self, monkeypatch, build):
-        # symmetry_generators decodes the labels once, and reduced_ring_system
-        # once for both the oscillating data and the orbits
+        # a mesh decodes its labels once, whatever reads its ring roles and
+        # however often, and the decoded arrays cannot be written
         calls = Counter()
         decode = meshmod.vertex_roles
 
@@ -119,12 +119,15 @@ class TestReduction:
             return decode(mesh)
 
         monkeypatch.setattr(meshmod, "vertex_roles", counted)
-        monkeypatch.setattr(counterexample, "vertex_roles", counted)
         mesh = build()
-        symmetry_generators(mesh)
+        for call in (symmetry_generators, oscillating_data, reduced_ring_system,
+                     symmetry_generators, reduced_ring_system, oscillating_data):
+            call(mesh)
         assert calls == {"vertex_roles": 1}
-        calls.clear()
-        reduced_ring_system(mesh)
+        ring, corner, _, apexes = mesh.ring_roles
+        for array in ring, corner, apexes:
+            with pytest.raises(ValueError):
+                array[:1] = 7
         assert calls == {"vertex_roles": 1}
 
     def test_rejects_non_equivariant_orbits(self):
@@ -295,12 +298,12 @@ class TestSweeps:
             expected.append(SweepRecord(J=20, t=t, d=2, sup_norm=float(np.abs(x).max()),
                                         limit_error=float(np.abs(x - x_hat).max())))
         calls = Counter()
-        for name in ("symmetry_orbits", "vertex_roles"):
-            def counted(*args, fn=getattr(counterexample, name), name=name):
+        for module, name in ((counterexample, "symmetry_orbits"), (meshmod, "vertex_roles")):
+            def counted(*args, fn=getattr(module, name), name=name):
                 calls[name] += 1
                 return fn(*args)
 
-            monkeypatch.setattr(counterexample, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert sweep_to_csv(convergence_study(20, ts)) == sweep_to_csv(expected)
         assert calls == {"symmetry_orbits": 1, "vertex_roles": 1}
 

@@ -121,6 +121,15 @@ class TestConstructorValidation:
         with pytest.raises(DegenerateSimplex):
             SimplicialMesh([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
+    @pytest.mark.parametrize("labels", [{7: "x"}, {-1: "y"}, {True: "x"}, {"0": "x"},
+                                        {1.0: "x"}, {0: None}, {0: ["ring 1 corner 1"]}],
+                             ids=["key-too-large", "key-negative", "key-bool", "key-str",
+                                  "key-float", "label-none", "label-list"])
+    def test_rejects_labels_save_mesh_could_not_load(self, labels):
+        # keys are vertex ids 0..n-1 and values strings, as load_mesh requires
+        with pytest.raises(InvalidParameter):
+            SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], labels)
+
     def test_arrays_are_immutable(self):
         mesh = unit_triangle()
         with pytest.raises(ValueError):
