@@ -273,6 +273,10 @@ def build_pyramid_partition(J, t, d):
     vertices are labeled "apex {m}" (m = 3..d).
     """
     check_integer(d, 3, f"pyramid partitions need d >= 3, got {d!r}")
+    # a simplex has volume 2A/d! on a base triangle of area A <= 2: refuse
+    # before allocating once even 4/d! is degenerate (d >= 168)
+    if math.log(4.0) - math.lgamma(d + 1) <= math.log(VOLUME_EPSILON):
+        raise DegenerateSimplex(f"d={d} gives simplex volumes <= 4/d! <= {VOLUME_EPSILON:.0e}")
     base = build_counterexample_2d(J, t)
     n_base = base.n_vertices
     vertices = np.zeros((n_base + d - 2, d))
@@ -606,15 +610,6 @@ class OrbitPartition:
         return len(self.orbits)
 
 
-def _holds_bool(x):
-    """Whether x is a bool or a list or tuple holding one at any depth."""
-    if isinstance(x, np.ndarray):
-        return x.dtype == bool
-    if isinstance(x, (list, tuple)):
-        return any(map(_holds_bool, x))
-    return isinstance(x, (bool, np.bool_))
-
-
 def symmetry_orbits(mesh, permutations):
     """Vertex orbits of the group generated by one or more mesh symmetries.
 
@@ -622,13 +617,13 @@ def symmetry_orbits(mesh, permutations):
     simplex set onto itself (as sets of vertex-id sets); otherwise
     NotASymmetry is raised.
     """
-    perms = np.asarray(permutations)
+    message = "permutations must have one integer entry per vertex"
+    # 0.4 and True are not vertex ids
+    perms = _typed_array(permutations, "iu", message)
     if perms.ndim == 1:
         perms = perms[None, :]
-    # 0.4 and True are not vertex ids, also where np.asarray makes True a 1
-    if (perms.ndim != 2 or perms.shape[1] != mesh.n_vertices or perms.dtype.kind not in "iu"
-            or _holds_bool(permutations)):
-        raise InvalidParameter("permutations must have one integer entry per vertex")
+    if perms.ndim != 2 or perms.shape[1] != mesh.n_vertices:
+        raise InvalidParameter(message)
     perms = perms.astype(np.int64)
     n = mesh.n_vertices
     simplex_set = _sorted_simplices(mesh.simplices)
@@ -744,52 +739,44 @@ def mesh_to_dict(mesh):
     }
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def mesh_to_json(mesh):
-    """Deterministic JSON text for a mesh (same mesh -> same bytes)."""
-    lines = ["{", f'  "dim": {mesh.dim},', '  "vertices": [']
-    rows = [
-        "    [" + ", ".join(_fmt(c) for c in row) + "]" for row in mesh.vertices
-    ]
-    lines.append(",\n".join(rows))
-    lines.append("  ],")
-    lines.append('  "simplices": [')
-    rows = [
-        "    [" + ", ".join(str(int(v)) for v in row) + "]" for row in mesh.simplices
-    ]
-    lines.append(",\n".join(rows))
-    lines.append("  ],")
-    items = [f'    "{k}": {json.dumps(v)}' for k, v in sorted(mesh.labels.items())]
-    if items:
-        lines.append('  "labels": {')
-        lines.append(",\n".join(items))
-        lines.append("  }")
-    else:
-        lines.append('  "labels": {}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Compact JSON text of mesh_to_dict plus a newline: the bytes a report
+    writes for its mesh key.  Deterministic, and every float is written by
+    repr, so -0.0 and t**J round-trip bit for bit."""
+    return json.dumps(mesh_to_dict(mesh), separators=(",", ":")) + "\n"
+
+
+def _typed_array(rows, kinds, message):
+    """np.asarray(rows); InvalidParameter(message) if it is not empty and its
+    dtype kind is not in kinds or a bool is among its elements, which
+    np.asarray reads as 1 in [0, True] and as 1.0 in [0.5, True]."""
+    array = np.asarray(rows)
+    items = [rows]
+    for _ in range(array.ndim):
+        items = itertools.chain.from_iterable(items)
+    if array.size and (array.dtype.kind not in kinds
+                       or not {bool, np.bool_}.isdisjoint(map(type, items))):
+        raise InvalidParameter(message)
+    return array
 
 
 def mesh_from_dict(data):
     try:
         dim = data["dim"]
-        vertices = np.asarray(data["vertices"], dtype=float)
-        simplices = np.asarray(data["simplices"])
-        bools = bool in set(map(type, itertools.chain.from_iterable(data["simplices"])))
+        # JSON floats (1e30, 2.7) are not vertex ids, strings are not
+        # coordinates, and true is neither
+        vertices = _typed_array(data["vertices"], "iuf",
+                                "mesh data: vertex coordinates must be numbers")
+        simplices = _typed_array(data["simplices"], "i",
+                                 "mesh data: simplex ids must be integers")
         labels = data.get("labels", {})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed mesh data: {exc}") from exc
     # 2.5, "2" and true are not dimensions
     if type(dim) is not int:
         raise InvalidParameter("mesh data: dim must be an integer")
     if not isinstance(labels, dict):
         raise InvalidParameter("mesh data: labels must be an object")
-    # JSON floats (1e30, 2.7) and booleans are not vertex ids
-    if simplices.size and (simplices.dtype.kind != "i" or bools):
-        raise InvalidParameter("mesh data: simplex ids must be integers")
     if vertices.ndim != 2 or vertices.shape[1] != dim:
         raise InvalidParameter("mesh data: vertices do not match the declared dim")
     labels = {_vertex_id(k): v for k, v in labels.items()}
@@ -808,9 +795,11 @@ def _vertex_id(key):
 
 
 def mesh_from_json(text):
+    """Mesh from JSON text, as str or as bytes in UTF-8 (or UTF-16/32)."""
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deep
+    # ValueError: not JSON, or bytes that do not decode; RecursionError: too deep
+    except (ValueError, RecursionError) as exc:
         raise InvalidParameter(f"malformed mesh file: {exc}") from exc
     return mesh_from_dict(data)
 
@@ -821,5 +810,6 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    with open(path) as fh:
+    """Mesh from a file of JSON bytes; see mesh_from_json."""
+    with open(path, "rb") as fh:
         return mesh_from_json(fh.read())

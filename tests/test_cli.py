@@ -78,6 +78,16 @@ class TestMeshCommand:
                    "-o", str(out)) == 2
         assert not out.exists()
 
+    def test_huge_d_exits_2(self, tmp_path, capsys):
+        # refused before numpy is asked for a vertex array this large
+        out = tmp_path / "mesh.json"
+        assert run("mesh", "pyramid", "--J", "1", "--t", "0.5", "--d", "1000000000",
+                   "-o", str(out)) == 2
+        assert run("reproduce", "--pyramid", "--J", "1,2", "--t", "0.5", "--d", "1000000000",
+                   "-o", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err.count("error: d=1000000000 gives simplex volumes") == 2
+        assert not out.exists()
+
     def test_deterministic_output_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -148,6 +158,9 @@ class TestProjectCommand:
             ("dim", 2.0, VALUES),
             ("dim", "2", VALUES),
             ("dim", True, VALUES),
+            # the 1 of vertex 1, [1, 0]; JSON integers stay coordinates
+            ("vertices", [[0.0, 0.0], [True, 0.0], [0.0, 1.0], [1.0, 1.0]], VALUES),
+            ("vertices", [[0.0, 0.0], ["1", 0.0], [0.0, 1.0], [1.0, 1.0]], VALUES),
             # labels are read only by --oscillating
             ("labels", {"0": ""}, OSCILLATING),
             ("labels", {"0": "ring x corner 1"}, OSCILLATING),
@@ -167,6 +180,7 @@ class TestProjectCommand:
         ],
         ids=["labels-list", "id-1e30", "id-fractional", "id-bool",
              "dim-fractional", "dim-float", "dim-string", "dim-bool",
+             "coord-bool", "coord-string",
              "label-empty", "label-ring-not-a-number",
              "label-underscore", "label-space", "label-out-of-range", "label-null", "label-number",
              "label-second-center", "label-twin-corner"],
@@ -179,6 +193,20 @@ class TestProjectCommand:
         mesh_file.write_text(json.dumps(data))
         capsys.readouterr()
         assert run("project", "--mesh", str(mesh_file), *data_args,
+                   "-o", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("raw", [
+        b"\xff\xfe",
+        # a valid mesh file but for the byte ff in a label
+        b'{"dim":1,"vertices":[[0.0],[1.0]],"simplices":[[0,1]],"labels":{"0":"\xff"}}',
+    ], ids=["bom-only", "label-byte-ff"])
+    def test_undecodable_mesh_file_exits_2(self, tmp_path, capsys, raw):
+        mesh_file = tmp_path / "bin.json"
+        mesh_file.write_bytes(raw)
+        assert run("project", "--mesh", str(mesh_file), "--values", "1",
                    "-o", str(tmp_path / "r.json")) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
@@ -318,6 +346,17 @@ class TestReportFile:
         # one top-level key per line
         lines = text.splitlines()
         assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(expected) + 2
+
+    @pytest.mark.parametrize("command", [["project", "--oscillating"], ["norm"]],
+                             ids=["project", "norm"])
+    def test_mesh_line_is_the_mesh_file(self, tmp_path, written, command):
+        # one encoding: the report's mesh value is the file projnorm mesh wrote
+        mesh_file, _ = written
+        report = tmp_path / "report.json"
+        assert run(command[0], "--mesh", str(mesh_file), *command[1:], "-o", str(report)) == 0
+        mesh_bytes = mesh_file.read_bytes()
+        assert mesh_bytes.endswith(b"\n") and mesh_bytes.count(b"\n") == 1
+        assert report.read_bytes().split(b"\n")[1] == b'"mesh":' + mesh_bytes[:-1] + b","
 
 
 class TestReproduceCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -25,9 +26,12 @@ from projnorm import (
     build_interval_partition,
     build_pyramid_partition,
     build_uniform_square,
+    load_mesh,
     mesh_from_json,
+    mesh_to_dict,
     mesh_to_json,
     reduced_ring_system,
+    save_mesh,
     symmetry_generators,
     symmetry_orbits,
     validate_conformity,
@@ -250,6 +254,11 @@ class TestPyramidPartitions:
     def test_rejects_low_dimension(self):
         with pytest.raises(InvalidParameter):
             build_pyramid_partition(1, 0.3, 2)
+
+    def test_refuses_degenerate_d_before_allocating(self):
+        # numpy would refuse the (n, d) vertex array with a MemoryError
+        with pytest.raises(DegenerateSimplex, match="d=1000000000 gives simplex volumes"):
+            build_pyramid_partition(1, 0.5, 10**9)
 
 
 class TestUniformSquare:
@@ -755,6 +764,56 @@ class TestSymmetryOrbits:
             entry(mesh)
 
 
+# cx J=1 t=0.1 as the earlier row-per-line writer laid it out: 17 significant
+# digits, and integer coordinates
+ROW_LAYOUT = """{
+  "dim": 2,
+  "vertices": [
+    [1, 1],
+    [1, -1],
+    [-1, -1],
+    [-1, 1],
+    [0.10000000000000001, 0.10000000000000001],
+    [0.10000000000000001, -0.10000000000000001],
+    [-0.10000000000000001, -0.10000000000000001],
+    [-0.10000000000000001, 0.10000000000000001],
+    [0, 0]
+  ],
+  "simplices": [
+    [3, 7, 4],
+    [3, 4, 0],
+    [0, 4, 5],
+    [0, 5, 1],
+    [1, 5, 6],
+    [1, 6, 2],
+    [2, 6, 7],
+    [2, 7, 3],
+    [4, 5, 8],
+    [5, 6, 8],
+    [6, 7, 8],
+    [7, 4, 8]
+  ],
+  "labels": {
+    "0": "ring 0 corner 1",
+    "1": "ring 0 corner 2",
+    "2": "ring 0 corner 3",
+    "3": "ring 0 corner 4",
+    "4": "ring 1 corner 1",
+    "5": "ring 1 corner 2",
+    "6": "ring 1 corner 3",
+    "7": "ring 1 corner 4",
+    "8": "center"
+  }
+}
+"""
+
+
+def assert_bit_equal(a, b):
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.simplices.tobytes() == b.simplices.tobytes()
+    assert dict(a.labels) == dict(b.labels)
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self):
         mesh = build_counterexample_2d(3, 0.1)
@@ -763,14 +822,29 @@ class TestSerialization:
         assert np.array_equal(mesh.simplices, again.simplices)
         assert dict(mesh.labels) == dict(again.labels)
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_counterexample_2d(60, 0.01),
+        lambda: build_pyramid_partition(40, 0.01, 5),
+        # -0.0 written as -0 would load as +0.0
+        lambda: build_interval_partition([-1.0, -0.0, 1.0]),
+    ], ids=["cx-J60", "pyramid-d5-J40", "negative-zero"])
+    def test_file_round_trip_is_bit_exact(self, tmp_path, build):
+        mesh = build()
+        save_mesh(mesh, tmp_path / "mesh.json")
+        assert_bit_equal(load_mesh(tmp_path / "mesh.json"), mesh)
+
     def test_bytes_deterministic(self):
         a = mesh_to_json(build_pyramid_partition(2, 0.37, 3))
         b = mesh_to_json(build_pyramid_partition(2, 0.37, 3))
         assert a == b
 
-    def test_full_precision_coordinates(self):
-        text = mesh_to_json(build_counterexample_2d(1, 0.1))
-        assert "0.10000000000000001" in text  # 17 significant digits of 0.1
+    def test_text_is_the_compact_dict(self):
+        mesh = build_pyramid_partition(2, 0.37, 3)
+        assert mesh_to_json(mesh) == json.dumps(mesh_to_dict(mesh), separators=(",", ":")) + "\n"
+
+    def test_reads_the_row_layout(self, tmp_path):
+        (tmp_path / "mesh.json").write_text(ROW_LAYOUT)
+        assert_bit_equal(load_mesh(tmp_path / "mesh.json"), build_counterexample_2d(1, 0.1))
 
     def test_malformed_input(self):
         with pytest.raises(InvalidParameter):
