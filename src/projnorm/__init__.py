@@ -11,7 +11,6 @@ inverse mass matrix.
 from .errors import (
     DegenerateSimplex,
     InvalidParameter,
-    InvalidVertex,
     LengthMismatch,
     MissingLabels,
     NotASymmetry,
@@ -24,7 +23,6 @@ from .errors import (
 from .mesh import (
     OrbitPartition,
     SimplicialMesh,
-    VertexStar,
     angle_stats,
     build_counterexample_2d,
     build_interval_partition,
@@ -40,7 +38,6 @@ from .mesh import (
     symmetry_orbits,
     validate_conformity,
     vertex_roles,
-    vertex_star,
 )
 from .projection import (
     CellwiseConstant,

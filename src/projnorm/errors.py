@@ -22,10 +22,6 @@ class UnsupportedDimension(ProjNormError):
     """The operation is only defined for a specific ambient dimension."""
 
 
-class InvalidVertex(ProjNormError):
-    """Vertex id out of range for the mesh."""
-
-
 class MissingLabels(ProjNormError):
     """The mesh does not carry the constructor vertex labels the operation needs."""
 

@@ -5,19 +5,23 @@ integer array of vertex ids.  Meshes are immutable after construction; the
 coordinate and connectivity arrays are marked read-only and all constructors
 are pure functions of their arguments.
 
-Besides generic helpers (simplex volumes, stars, angle statistics, conformity
+Besides generic helpers (simplex volumes, angle statistics, conformity
 validation, symmetry orbits and their generators: the ring rotation first, then
 the apex swaps, or MissingLabels) the module provides the partition families
-used throughout the package.  Conformity validation counts face owners and makes
-one blocked pass over widened simplex bounding boxes for candidate pairs.
-The pairs yield the hanging nodes, by batched barycentric solves, and, for
-pairs sharing s < d vertices, an exact separating-hyperplane test.  Such a
-hyperplane contains the shared face, so pairs with s >= 1 try only the
-C(2(d+1-s), d-s) normals through it (15 or 4 in 3D), and vertex-disjoint
-pairs every facet normal of P - Q (44 in 3D, 862 in 5D).  The facet normals
-of P and Q go first (6 of 15, or 8 of 44, in 3D); the rest are tried only
-on the pairs those leave unseparated.  Normals are exterior products of
-edges over pairs held coordinate-major, with no LAPACK call.  The families are:
+used throughout the package.  One kernel, _facets, gives each simplex its
+facet normals n_i and heights h_i = n_i . (p_i - f_i), f_i the first vertex of
+the facet opposite p_i: the volume is |h_0| / d!, and n_i . (x - f_i) / h_i is
+the barycentric coordinate i of x.  Conformity validation counts face owners
+and makes one blocked pass over widened simplex bounding boxes for candidate
+pairs.  The pairs yield the hanging nodes, by those coordinates, the folds, by
+the side of the shared face a lone vertex lies on, and, for pairs sharing
+s < d vertices, an exact separating-hyperplane test.  Such a hyperplane
+contains the shared face, so pairs with s >= 1 try only the C(2(d+1-s), d-s)
+normals through it (15 or 4 in 3D), and vertex-disjoint pairs every facet
+normal of P - Q (44 in 3D, 862 in 5D).  The facet normals of P and Q go first
+(6 of 15, or 8 of 44, in 3D); the rest are tried only on the pairs those leave
+unseparated.  Normals are exterior products of edges, over pairs held
+coordinate-major, and no LAPACK routine is called.  The families are:
 
 * ``build_counterexample_2d`` -- a square triangulated along a geometric
   sequence of shrinking concentric squares ("rings"),
@@ -44,7 +48,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import (
     DegenerateSimplex,
     InvalidParameter,
-    InvalidVertex,
     MissingLabels,
     NotASymmetry,
     UnderflowRisk,
@@ -77,11 +80,9 @@ _BLOCK_ELEMENTS = 2**18
 
 
 def _volumes(vertices, simplices):
-    """Euclidean volumes |det E| / d! for every simplex row."""
-    d = vertices.shape[1]
-    corners = vertices[simplices]                  # (m, d+1, d)
-    edges = corners[:, 1:, :] - corners[:, :1, :]  # (m, d, d)
-    return np.abs(np.linalg.det(edges)) / math.factorial(d)
+    """Euclidean volumes |h_0| / d! for every simplex row (_facets)."""
+    X = vertices[simplices].transpose(2, 1, 0)
+    return np.abs(_facets(X, [0])[2][0]) / math.factorial(vertices.shape[1])
 
 
 class SimplicialMesh:
@@ -182,14 +183,6 @@ class SimplicialMesh:
         for a in roles[0], roles[1], roles[3]:
             a.setflags(write=False)
         return roles
-
-    @cached_property
-    def vertex_to_simplices(self):
-        """List mapping each vertex id to the array of incident simplex ids."""
-        flat = self.simplices.ravel()
-        owners = np.argsort(flat, kind="stable") // (self.dim + 1)
-        counts = np.bincount(flat, minlength=self.n_vertices)
-        return np.split(owners, np.cumsum(counts)[:-1])
 
     def __repr__(self):
         return (
@@ -339,24 +332,6 @@ def build_interval_partition(breakpoints):
 # queries
 
 
-def vertex_star(mesh, vertex):
-    """Simplices incident to a vertex and the neighboring vertex ids."""
-    v = int(vertex)
-    if not 0 <= v < mesh.n_vertices:
-        raise InvalidVertex(f"vertex id {v} out of range")
-    star = mesh.vertex_to_simplices[v]
-    neighbors = np.unique(mesh.simplices[star])
-    neighbors = neighbors[neighbors != v]
-    return VertexStar(vertex=v, simplices=star, neighbors=neighbors)
-
-
-@dataclass(frozen=True)
-class VertexStar:
-    vertex: int
-    simplices: np.ndarray
-    neighbors: np.ndarray
-
-
 def angle_stats(mesh):
     """(min, max) interior angle in radians over all triangles (2D only)."""
     if mesh.dim != 2:
@@ -436,6 +411,23 @@ def _cross(E):
     return np.stack([(-1) ** k * w[(*range(k), *range(k + 1, d))] for k in range(d)])
 
 
+def _facets(X, opposite):
+    """Normals n, first vertices f and heights h of the facets opposite the
+    vertices `opposite` of simplices X[x, v, k], held coordinate-major.
+
+    n[:, c] is the exterior product (_cross) of the edges of the facet
+    opposite vertex i = opposite[c], each taken from the facet's first vertex
+    f[:, c], and h[c] = n[:, c] . (p_i - f[:, c]) is +-d! times the volume, so
+    n[:, c] . (x - f[:, c]) / h[c] is the barycentric coordinate i of x.
+    Shapes (d, c, m), (d, c, m) and (c, m).
+    """
+    d = len(X)
+    facet = np.array([[v for v in range(d + 1) if v != i] for i in opposite])
+    f = X[:, facet[:, 0]]
+    n = _cross(X[:, facet[:, 1:].T] - f[:, None])
+    return n, f, np.einsum("xcm,xcm->cm", n, X[:, opposite] - f)
+
+
 def _unseparated(P, Q, tails, heads):
     """Which pairs (P[k], Q[k]) no candidate normal (tails, heads) separates.
 
@@ -491,12 +483,6 @@ def _interiors_overlap(P, Q, s):
     return overlap
 
 
-def _face_sides(face, point):
-    """Sign of det[face[1:] - face[0]; point - face[0]] per row; face is (K, d, d)."""
-    edges = np.concatenate([face[:, 1:], point[:, None]], axis=1) - face[:, :1]
-    return np.sign(np.linalg.det(edges))
-
-
 def validate_conformity(mesh):
     """Check that the mesh is a face-to-face partition.
 
@@ -506,9 +492,14 @@ def validate_conformity(mesh):
     or folded simplex pairs, and pairs with overlapping interiors.  One box
     per simplex, widened by _TOUCH_RTOL of its largest extent, picks the
     candidate pairs, whose non-shared vertices are the hanging-node
-    candidates; pairs that share fewer than d vertices go through an exact
-    separating-hyperplane test, one call per shared-vertex count.  Memory
-    stays O(block * m): boxes are compared in row blocks.
+    candidates: a candidate hangs when each of its barycentric coordinates
+    in the simplex, from the facet normals of _facets, is at least
+    -_TOUCH_RTOL.  A pair sharing d vertices folds unless the lone vertex
+    of one lies strictly outside the other across the shared face, a signed
+    test with no tolerance; pairs that share fewer than d vertices go
+    through an exact separating-hyperplane test, one call per shared-vertex
+    count.  Nothing calls LAPACK.  Memory stays O(block * m): boxes are
+    compared in row blocks.
     """
     violations = []
     d = mesh.dim
@@ -542,6 +533,13 @@ def validate_conformity(mesh):
     same = simplices[i][:, :, None] == simplices[j][:, None, :]   # (K, d+1, d+1)
     in_j, in_i = same.any(axis=2), same.any(axis=1)
 
+    normals, firsts, heights = _facets(corners.transpose(2, 1, 0), range(d + 1))
+
+    def side(c, s, x):
+        """x's barycentric coordinate c in simplex s times |h|, with no division."""
+        dot = np.einsum("x...,x...->...", normals[:, c, s], x - firsts[:, c, s])
+        return dot * np.sign(heights[c, s])
+
     # hanging nodes: a vertex v on a foreign simplex s lies in the boxes of s
     # and of a simplex of its own, so v is a non-shared vertex of one side of
     # a pair whose other side is s; candidates are ordered by s * n + v
@@ -550,23 +548,19 @@ def validate_conformity(mesh):
         (i[:, None] * n + simplices[j])[~in_i]])), n)
     inside = ((verts[v] >= lo[s]) & (verts[v] <= hi[s])).all(axis=1)
     s, v = s[inside], v[inside]
-    origin = corners[s, 0]
-    T = (corners[s, 1:] - origin[:, None]).transpose(0, 2, 1)
-    lam = np.linalg.solve(T, (verts[v] - origin)[..., None])[..., 0]
-    lam = np.concatenate([1.0 - lam.sum(axis=1, keepdims=True), lam], axis=1)
-    for a, b in zip(*(x[(lam >= -_TOUCH_RTOL).all(axis=1)].tolist() for x in (s, v))):
+    on = side(slice(None), s, verts[v].T[:, None]) >= -_TOUCH_RTOL * np.abs(heights[:, s])
+    for a, b in zip(*(x[on.all(axis=0)].tolist() for x in (s, v))):
         violations.append(f"vertex {b} lies on simplex {a} without being one of its vertices")
 
     shared = in_j.sum(axis=1)
     kind = np.zeros(len(i), dtype=np.int8)
     kind[shared == d + 1] = 1
 
-    fold = shared == d
-    common = verts[np.sort(simplices[i[fold]][in_j[fold]].reshape(-1, d), axis=1)]
-    lone_i = verts[simplices[i[fold]][~in_j[fold]]]
-    lone_j = verts[simplices[j[fold]][~in_i[fold]]]
-    sides = _face_sides(common, lone_i) * _face_sides(common, lone_j)
-    kind[np.flatnonzero(fold)[sides >= 0]] = 2
+    # a fold: i's lone vertex is not strictly outside j across the shared
+    # face, the facet of j opposite j's lone vertex
+    fold = np.flatnonzero(shared == d)
+    lone = verts[simplices[i[fold], np.argmin(in_j[fold], axis=1)]]
+    kind[fold[side(np.argmin(in_i[fold], axis=1), j[fold], lone.T) >= 0]] = 2
 
     # one kernel call per shared-vertex count s < d; for s >= 1 each pair's
     # shared vertices come first and by id in both simplices

@@ -8,8 +8,9 @@ simplex by simplex with a scalar recursion, witness norms are found by
 brute force over all cellwise sign patterns, the dual functions and the
 inverse-norm bound come from explicit dense inverses, overlapping
 simplex interiors are found by one linear program per pair, hanging nodes
-by a plain loop over every simplex and foreign vertex, and the
-projected witness on the shrinking-square meshes is solved in exact rational
+by a plain loop over every simplex and foreign vertex, vertex stars by a
+scan of the simplex rows, and the projected witness on the shrinking-square
+meshes, determinants and orientation signs are computed in exact rational
 arithmetic.
 """
 
@@ -352,3 +353,37 @@ def random_simplex_vertices(rng, d, min_volume=0.05):
         vol = abs(np.linalg.det(coords[1:] - coords[0])) / math.factorial(d)
         if vol >= min_volume:
             return coords
+
+
+def vertex_star(mesh, vertex):
+    """(simplices, neighbors): the ids of the simplices holding the vertex and
+    of the other vertices they hold, both ascending."""
+    simplices = np.flatnonzero((mesh.simplices == vertex).any(axis=1))
+    neighbors = np.unique(mesh.simplices[simplices])
+    return simplices, neighbors[neighbors != vertex]
+
+
+def simplex_determinant(points):
+    """det[p_1 - p_0, ..., p_d - p_0] of the d+1 float points of a d-simplex,
+    exactly: a Fraction, by Gaussian elimination on Fraction differences."""
+    p = [[Fraction(x) for x in row] for row in np.asarray(points, dtype=float).tolist()]
+    A = [[a - b for a, b in zip(row, p[0])] for row in p[1:]]
+    det = Fraction(1)
+    for c in range(len(A)):
+        pivot = next((r for r in range(c, len(A)) if A[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            A[c], A[pivot] = A[pivot], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, len(A)):
+            factor = A[r][c] / A[c][c]
+            A[r] = [a - factor * b for a, b in zip(A[r], A[c])]
+    return det
+
+
+def orientation_sign(points):
+    """Exact sign, -1, 0 or 1, of simplex_determinant(points)."""
+    det = simplex_determinant(points)
+    return (det > 0) - (det < 0)

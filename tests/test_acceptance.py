@@ -27,7 +27,6 @@ from projnorm import (
     project,
     proposition1_check,
     reduced_ring_system,
-    vertex_star,
 )
 from oracles import (
     brute_force_witness,
@@ -35,6 +34,7 @@ from oracles import (
     quadrature_mass_matrix,
     random_interval_mesh,
     random_simplex_vertices,
+    vertex_star,
 )
 
 SEED = 20260814
@@ -113,11 +113,11 @@ def test_criterion_3_mass_matrix_oracle():
     M = assemble_mass(mesh).tocsr()
     vols = mesh.simplex_volumes
     for v in range(mesh.n_vertices):
-        star = vertex_star(mesh, v)
-        expect = vols[star.simplices].sum() / 6.0
+        simplices, neighbors = vertex_star(mesh, v)
+        expect = vols[simplices].sum() / 6.0
         star_dev = max(star_dev, abs(M[v, v] - expect) / expect)
-        for w in star.neighbors:
-            shared = sum(vols[s] for s in star.simplices if w in mesh.simplices[s])
+        for w in neighbors:
+            shared = sum(vols[s] for s in simplices if w in mesh.simplices[s])
             star_dev = max(star_dev, abs(M[v, w] - shared / 12.0) / (shared / 12.0))
 
     elapsed = time.perf_counter() - start

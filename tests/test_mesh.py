@@ -5,17 +5,17 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import oracles
 from hypothesis import given, settings, strategies as st
-from oracles import lp_interiors_overlap, random_simplex_vertices
+from oracles import lp_interiors_overlap, random_simplex_vertices, vertex_star
 
 from projnorm import (
     DegenerateSimplex,
     InvalidParameter,
-    InvalidVertex,
     MissingLabels,
     NotASymmetry,
     SimplicialMesh,
@@ -36,7 +36,6 @@ from projnorm import (
     symmetry_orbits,
     validate_conformity,
     vertex_roles,
-    vertex_star,
 )
 from projnorm import mesh as meshmod
 from projnorm.mesh import _candidate_edges
@@ -167,6 +166,20 @@ class TestSimplexVolume:
         moved = SimplicialMesh(coords @ Q.T + rng.uniform(-5, 5, 3), [[0, 1, 2, 3]])
         assert moved.simplex_volumes[0] == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_counterexample_2d(60, 0.01),
+        lambda: build_pyramid_partition(40, 0.01, 3),
+        lambda: build_pyramid_partition(40, 0.01, 5),
+    ], ids=["cx-J60", "pyramid-d3-J40", "pyramid-d5-J40"])
+    def test_graded_volumes_match_exact_determinants(self, build):
+        # np.linalg.det computes sign * exp(logdet), so its error grows with
+        # |log det|: on these meshes it was off by up to 7.4e-14 relative
+        mesh = build()
+        scale = math.factorial(mesh.dim)
+        for row, volume in zip(mesh.simplices, mesh.simplex_volumes.tolist()):
+            exact = abs(oracles.simplex_determinant(mesh.vertices[row])) / scale
+            assert abs(Fraction(volume) - exact) <= Fraction(2e-14) * exact, row
+
 
 class TestShrinkingSquares:
     @pytest.mark.parametrize("J", [1, 2, 3, 7])
@@ -199,16 +212,16 @@ class TestShrinkingSquares:
         mesh = build_counterexample_2d(3, 0.2)
         ring, corner, center, _ = vertex_roles(mesh)
         for v in np.flatnonzero((ring >= 1) & (ring <= 2) & (corner > 0)):
-            star = vertex_star(mesh, v)
-            assert len(star.simplices) == 6
-            assert len(star.neighbors) == 6
+            simplices, neighbors = vertex_star(mesh, v)
+            assert len(simplices) == 6
+            assert len(neighbors) == 6
 
     def test_center_star(self):
         mesh = build_counterexample_2d(2, 0.2)
         _, _, center, _ = vertex_roles(mesh)
-        star = vertex_star(mesh, center)
-        assert len(star.simplices) == 4
-        assert len(star.neighbors) == 4
+        simplices, neighbors = vertex_star(mesh, center)
+        assert len(simplices) == 4
+        assert len(neighbors) == 4
 
     def test_parameter_validation(self):
         for bad in [(0, 0.3), (-1, 0.3), (2, 0.0), (2, 1.0), (2, 1.5), (2, -0.2)]:
@@ -279,14 +292,14 @@ class TestUniformSquare:
 
     def test_center_vertex_star(self):
         mesh = build_uniform_square(2)
-        star = vertex_star(mesh, 4)  # (0.5, 0.5) on the 3x3 grid
-        assert len(star.simplices) == 8
-        assert len(star.neighbors) == 8
+        simplices, neighbors = vertex_star(mesh, 4)  # (0.5, 0.5) on the 3x3 grid
+        assert len(simplices) == 8
+        assert len(neighbors) == 8
 
     def test_corner_vertex_star(self):
-        star = vertex_star(build_uniform_square(1), 0)
-        assert len(star.simplices) == 2
-        assert len(star.neighbors) == 3
+        simplices, neighbors = vertex_star(build_uniform_square(1), 0)
+        assert len(simplices) == 2
+        assert len(neighbors) == 3
 
     def test_rejects_bad_n(self):
         with pytest.raises(InvalidParameter):
@@ -346,6 +359,37 @@ class TestConformity:
             [[0, 0], [1, 0], [0, 1], [0.6, 0.6]], [[0, 1, 2], [0, 1, 3]]
         )
         assert any("fold" in v for v in validate_conformity(mesh))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_folds_match_exact_orientation_signs(self, d, monkeypatch):
+        # P and Q share the facet F and fold unless their lone vertices p and
+        # q lie strictly on opposite sides of F, as exact rational signs say;
+        # the rows list their vertices in shuffled orders
+        rng = np.random.default_rng(1100 + d)
+        cases = [rng.uniform(-1.0, 1.0, (d + 2, d)) for _ in range(40)]
+        # F in x_d = 0 and q above it, and p either 1e-13 above F's centroid,
+        # a sliver fold, or in F's plane beyond F's box, a flat P that the
+        # constructor accepts only with its volume guard lowered
+        for height in 1e-13, 0.0:
+            case = rng.uniform(-1.0, 1.0, (d + 2, d))
+            case[:d, -1] = 0.0
+            case[d] = case[:d].mean(axis=0) if height else 3.0
+            case[d:, -1] = height, 0.7
+            cases.append(case)
+        monkeypatch.setattr(meshmod, "VOLUME_EPSILON", -1.0)
+        verdicts = []
+        for points in cases:
+            mesh = SimplicialMesh(points, [rng.permutation([*range(d), d]),
+                                           rng.permutation([*range(d), d + 1])])
+            fold = (oracles.orientation_sign(points[:d + 1])
+                    * oracles.orientation_sign(points[[*range(d), d + 1]]) >= 0)
+            found = ("simplices 0 and 1 fold onto the same side of their shared face"
+                     in validate_conformity(mesh))
+            assert found == fold, points
+            verdicts.append(fold)
+        assert oracles.orientation_sign(cases[-1][:d + 1]) == 0
+        assert verdicts[-2:] == [True, True]
+        assert 5 <= verdicts.count(True) <= len(verdicts) - 5
 
     def test_detects_overshared_face(self):
         mesh = SimplicialMesh(
@@ -520,8 +564,8 @@ class TestConformity:
         # vertices, which covers many foreign ones
         rng = np.random.default_rng(1313)
         total = 0
-        for k in range(60):
-            d = k % 4 + 1
+        for k in range(75):
+            d = k % 5 + 1
             if d == 1:
                 base = build_interval_partition(np.cumsum(rng.uniform(0.1, 1.0, 12)))
             elif d == 2:
@@ -650,27 +694,6 @@ class TestAngleStats:
             angle_stats(build_interval_partition([0.0, 1.0]))
         with pytest.raises(UnsupportedDimension):
             angle_stats(build_pyramid_partition(1, 0.3, 3))
-
-
-class TestVertexStar:
-    def test_incidence_matches_simplex_loop(self):
-        mesh = build_pyramid_partition(2, 0.3, 4)
-        expected = [[] for _ in range(mesh.n_vertices)]
-        for s, row in enumerate(mesh.simplices):
-            for v in row:
-                expected[v].append(s)
-        got = mesh.vertex_to_simplices
-        assert [a.tolist() for a in got] == expected
-        assert all(a.dtype == np.int64 for a in got)
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidVertex):
-            vertex_star(build_uniform_square(1), 4)
-
-    def test_neighbors_sorted_unique(self):
-        star = vertex_star(build_uniform_square(2), 4)
-        assert np.array_equal(star.neighbors, np.sort(star.neighbors))
-        assert len(np.unique(star.neighbors)) == len(star.neighbors)
 
 
 class TestSymmetryOrbits:
