@@ -11,17 +11,27 @@ the apex swaps, or MissingLabels) the module provides the partition families
 used throughout the package.  One kernel, _facets, gives each simplex its
 facet normals n_i and heights h_i = n_i . (p_i - f_i), f_i the first vertex of
 the facet opposite p_i: the volume is |h_0| / d!, and n_i . (x - f_i) / h_i is
-the barycentric coordinate i of x.  Conformity validation counts face owners
-and makes one blocked pass over widened simplex bounding boxes for candidate
-pairs.  The pairs yield the hanging nodes, by those coordinates, the folds, by
-the side of the shared face a lone vertex lies on, and, for pairs sharing
-s < d vertices, an exact separating-hyperplane test.  Such a hyperplane
-contains the shared face, so pairs with s >= 1 try only the C(2(d+1-s), d-s)
-normals through it (15 or 4 in 3D), and vertex-disjoint pairs every facet
-normal of P - Q (44 in 3D, 862 in 5D).  The facet normals of P and Q go first
-(6 of 15, or 8 of 44, in 3D); the rest are tried only on the pairs those leave
-unseparated.  Normals are exterior products of edges, over pairs held
-coordinate-major, and no LAPACK routine is called.  The families are:
+the barycentric coordinate i of x.  Conformity validation first tries a
+certificate in O(m) small kernels plus one vertices x boundary-facets
+product: every facet has at most two owners, on strictly opposite sides of
+it; every facet with one owner supports the vertex set; and the centroid of
+the largest simplex lies in that simplex only.  The number of simplices
+covering a point then cannot change across any facet inside the convex hull,
+so it is 1 everywhere: the certificate is sound on any mesh, and it holds on
+every conforming mesh of a convex domain, which every family below is.  On
+a refusal (a non-conforming mesh, or a conforming one of a non-convex or
+disconnected domain) the violations come from an all-pairs pass: it counts
+face owners and makes one blocked pass over widened simplex bounding boxes
+for candidate pairs.  The pairs yield the hanging nodes, by those
+coordinates, the folds, by the side of the shared face a lone vertex lies
+on, and, for pairs sharing s < d vertices, an exact separating-hyperplane
+test.  Such a hyperplane contains the shared face, so pairs with s >= 1
+try only the C(2(d+1-s), d-s) normals through it (15 or 4 in 3D), and
+vertex-disjoint pairs every facet normal of P - Q (44 in 3D, 862 in 5D).
+The facet normals of P and Q go first (6 of 15, or 8 of 44, in 3D); the rest
+are tried only on the pairs those leave unseparated.  Normals are exterior
+products of edges, over pairs held coordinate-major, and no LAPACK routine
+is called.  The families are:
 
 * ``build_counterexample_2d`` -- a square triangulated along a geometric
   sequence of shrinking concentric squares ("rings"),
@@ -483,20 +493,98 @@ def _interiors_overlap(P, Q, s):
     return overlap
 
 
+def _certify_conformity(mesh):
+    """True when local facts prove the mesh a face-to-face partition of a
+    convex domain; False (a refusal, not a verdict) otherwise.
+
+    Facet c*m + s is the facet of simplex s opposite its c-th smallest
+    vertex id, so both owners of a facet take its normal n and first vertex
+    f from _facets over the same points in the same order, and
+    h = n . (p - f) is the signed height of the opposite vertex p.
+
+    1. No facet has more than 2 owners.
+    2. The two owners of a facet lie strictly on opposite sides of it: their
+       heights have opposite signs, the fold test with no tolerance.
+    3. Each facet with 1 owner lies in a supporting hyperplane of the vertex
+       set: no vertex is outside it by more than _TOUCH_RTOL times the mesh
+       extent times |n|, one vertices x facets product per row block.
+    4. The centroid of the largest simplex lies in no other simplex, not
+       even within -_TOUCH_RTOL of a barycentric coordinate.
+
+    Steps 2 and 3 make the number of simplices covering a point the same
+    across every facet inside the hull, so constant on it: a hanging node
+    leaves a 1-owner facet inside the hull, which step 3 refuses.  Step 4
+    makes that number 1.  It counts closed simplices, since one that holds
+    the centroid on its boundary still meets the largest one's interior.
+    Non-convex and disconnected meshes fail step 3.
+    """
+    d = mesh.dim
+    verts = mesh.vertices
+    ids = np.sort(mesh.simplices, axis=1)
+    faces = np.concatenate([np.delete(ids, c, axis=1) for c in range(d + 1)])
+    order = np.lexsort(faces.T[::-1])
+    faces = faces[order]
+    starts = np.flatnonzero(np.r_[True, (faces[1:] != faces[:-1]).any(axis=1)])
+    owners = np.diff(np.r_[starts, len(faces)])
+    if (owners > 2).any():
+        return False
+
+    normals, firsts, heights = _facets(verts[ids].transpose(2, 1, 0), range(d + 1))
+    sign = np.sign(heights)
+    twin = starts[owners == 2]
+    if (sign.ravel()[order[twin]] * sign.ravel()[order[twin + 1]] >= 0).any():
+        return False
+
+    # inward normals of the 1-owner facets, and coordinates about the box
+    # center of the vertices, so the products lose no digits to the offset
+    lone = order[starts[owners == 1]]
+    inward = normals.reshape(d, -1)[:, lone] * sign.ravel()[lone]
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    mid = (lo + hi) / 2
+    offset = np.einsum("xb,xb->b", inward, firsts.reshape(d, -1)[:, lone] - mid[:, None])
+    # hypot: |n| of a deep facet squares below the smallest normal float
+    slack = _TOUCH_RTOL * (hi - lo).max() * np.hypot.reduce(inward, axis=0)
+    centered = verts - mid
+    for rows in _row_blocks(len(lone), len(verts)):
+        low = np.einsum("vx,xb->vb", centered, inward[:, rows]).min(axis=0)
+        if (low - offset[rows] < -slack[rows]).any():
+            return False
+
+    c = verts[mesh.simplices[np.argmax(mesh.simplex_volumes)]].mean(axis=0)
+    side = np.einsum("xvm,xvm->vm", normals, c[:, None, None] - firsts) * sign
+    return int((side >= -_TOUCH_RTOL * np.abs(heights)).all(axis=0).sum()) == 1
+
+
 def validate_conformity(mesh):
     """Check that the mesh is a face-to-face partition.
 
     Returns a list of human-readable violations (empty for a conforming
-    mesh): boundary faces shared by more than two simplices, vertices lying
-    inside or on a simplex they do not belong to (hanging nodes), duplicate
-    or folded simplex pairs, and pairs with overlapping interiors.  One box
-    per simplex, widened by _TOUCH_RTOL of its largest extent, picks the
-    candidate pairs, whose non-shared vertices are the hanging-node
-    candidates: a candidate hangs when each of its barycentric coordinates
-    in the simplex, from the facet normals of _facets, is at least
-    -_TOUCH_RTOL.  A pair sharing d vertices folds unless the lone vertex
-    of one lies strictly outside the other across the shared face, a signed
-    test with no tolerance; pairs that share fewer than d vertices go
+    mesh).  A mesh that _certify_conformity certifies has none, and no pair
+    of simplices is compared.  The certificate is sound on every mesh: its
+    facet tests keep the number of simplices over a point constant across
+    the convex hull of the vertices, and its centroid test makes it 1.  It
+    holds on conforming meshes of convex domains, as every constructor here
+    builds, and refuses the rest, conforming or not, without a message of
+    its own: then the all-pairs pass of _pairwise_violations gives the list.
+    """
+    if _certify_conformity(mesh):
+        return []
+    return _pairwise_violations(mesh)
+
+
+def _pairwise_violations(mesh):
+    """The violations of validate_conformity, from all pairs of simplices.
+
+    The list holds boundary faces shared by more than two simplices,
+    vertices lying inside or on a simplex they do not belong to (hanging
+    nodes), duplicate or folded simplex pairs, and pairs with overlapping
+    interiors.  One box per simplex, widened by _TOUCH_RTOL of its largest
+    extent, picks the candidate pairs, whose non-shared vertices are the
+    hanging-node candidates: a candidate hangs when each of its barycentric
+    coordinates in the simplex, from the facet normals of _facets, is at
+    least -_TOUCH_RTOL.  A pair sharing d vertices folds unless the lone
+    vertex of one lies strictly outside the other across the shared face, a
+    signed test with no tolerance; pairs that share fewer than d vertices go
     through an exact separating-hyperplane test, one call per shared-vertex
     count.  Nothing calls LAPACK.  Memory stays O(block * m): boxes are
     compared in row blocks.

@@ -10,8 +10,8 @@ inverse-norm bound come from explicit dense inverses, overlapping
 simplex interiors are found by one linear program per pair, hanging nodes
 by a plain loop over every simplex and foreign vertex, vertex stars by a
 scan of the simplex rows, and the projected witness on the shrinking-square
-meshes, determinants and orientation signs are computed in exact rational
-arithmetic.
+meshes, determinants, orientation signs and the local conformity certificate
+are computed in exact rational arithmetic.
 """
 
 import functools
@@ -363,11 +363,10 @@ def vertex_star(mesh, vertex):
     return simplices, neighbors[neighbors != vertex]
 
 
-def simplex_determinant(points):
-    """det[p_1 - p_0, ..., p_d - p_0] of the d+1 float points of a d-simplex,
-    exactly: a Fraction, by Gaussian elimination on Fraction differences."""
-    p = [[Fraction(x) for x in row] for row in np.asarray(points, dtype=float).tolist()]
-    A = [[a - b for a, b in zip(row, p[0])] for row in p[1:]]
+def _fraction_det(A):
+    """Determinant of a square list of Fraction rows, by Gaussian elimination
+    (1 for the empty matrix)."""
+    A = [list(row) for row in A]
     det = Fraction(1)
     for c in range(len(A)):
         pivot = next((r for r in range(c, len(A)) if A[r][c] != 0), None)
@@ -383,7 +382,77 @@ def simplex_determinant(points):
     return det
 
 
+def _fraction_points(points):
+    """Float points as rows of the Fractions they are."""
+    return [[Fraction(x) for x in row] for row in np.asarray(points, dtype=float).tolist()]
+
+
+def _edges_determinant(p):
+    """det[p_1 - p_0, ..., p_d - p_0] of Fraction rows p."""
+    return _fraction_det([[a - b for a, b in zip(row, p[0])] for row in p[1:]])
+
+
+def simplex_determinant(points):
+    """det[p_1 - p_0, ..., p_d - p_0] of the d+1 float points of a d-simplex,
+    exactly: a Fraction, by Gaussian elimination on Fraction differences."""
+    return _edges_determinant(_fraction_points(points))
+
+
 def orientation_sign(points):
     """Exact sign, -1, 0 or 1, of simplex_determinant(points)."""
     det = simplex_determinant(points)
     return (det > 0) - (det < 0)
+
+
+def rational_conformity_certificate(mesh):
+    """Steps 1-4 of mesh._certify_conformity, on the float coordinates read
+    as the Fractions they are, with every sign and height exact.
+
+    1. No facet has more than two owners.
+    2. The opposite vertices of a two-owner facet F have opposite
+       orientation_signs against F.
+    3. No vertex x lies outside a one-owner facet F by more than _TOUCH_RTOL
+       times the mesh extent times |n|.  n holds the cofactors of x in
+       det[F, x] = n . (x - f), f the first vertex of F, so both sides are
+       compared squared.
+    4. The centroid c of the first simplex of largest exact volume has every
+       barycentric coordinate at least -_TOUCH_RTOL in one simplex only: the
+       coordinate i in Q is det[Q with q_i replaced by c] / det[Q].
+    """
+    simplices = mesh.simplices.tolist()
+    opposite = {}
+    for row in simplices:
+        for v in row:
+            opposite.setdefault(tuple(sorted(set(row) - {v})), []).append(v)
+    if any(len(lone) > 2 for lone in opposite.values()):
+        return False
+    for facet, lone in opposite.items():
+        if len(lone) == 2 and (orientation_sign(mesh.vertices[[*facet, lone[0]]])
+                               * orientation_sign(mesh.vertices[[*facet, lone[1]]]) >= 0):
+            return False
+
+    X = _fraction_points(mesh.vertices)
+    rtol = Fraction(_TOUCH_RTOL)
+    tol = rtol * max(max(col) - min(col) for col in zip(*X))
+    for facet, lone in opposite.items():
+        if len(lone) == 1:
+            f = X[facet[0]]
+            E = [[a - b for a, b in zip(X[v], f)] for v in facet[1:]]
+            n = [(-1) ** (len(f) - 1 + k) * _fraction_det([r[:k] + r[k + 1:] for r in E])
+                 for k in range(len(f))]
+            heights = [sum(a * (b - c) for a, b, c in zip(n, x, f)) for x in X]
+            inward = heights[lone[0]]
+            bound = tol ** 2 * sum(a * a for a in n)
+            if any(h * inward < 0 and h * h > bound for h in heights):
+                return False
+
+    volumes = [abs(_edges_determinant([X[v] for v in row])) for row in simplices]
+    largest = [X[v] for v in simplices[volumes.index(max(volumes))]]
+    c = [sum(col) / len(largest) for col in zip(*largest)]
+    held = 0
+    for row in simplices:
+        Q = [X[v] for v in row]
+        det = _edges_determinant(Q)
+        held += all(_edges_determinant(Q[:i] + [c] + Q[i + 1:]) * det
+                    >= -rtol * det * det for i in range(len(Q)))
+    return held == 1

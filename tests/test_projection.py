@@ -502,10 +502,11 @@ class TestExactOperatorNorm:
 
 
 class TestRowPruning:
-    # (norm, witness, ainv_bound) at t = 0.01 on the simplex volumes |h_0| / d!
-    # of the facet-normal kernel (mesh._facets); a run with one block of every
-    # row, which prunes none, gives the same norm and witness.  float.hex pins
-    # every bit
+    # (norm, witness, ainv_bound) as exact_operator_norm returns them, in its
+    # default row blocks, at t = 0.01 on the simplex volumes |h_0| / d! of the
+    # facet-normal kernel (mesh._facets); float.hex pins every bit.  A run
+    # with one block of every row, which prunes none, gives the same norm and
+    # witness, but ainv_bound depends on the block shape in its last bits
     PINNED = {
         "cx-J20": ("0x1.1a2acb039ad82p+5", 84, "0x1.28555cb94a2a7p+5"),
         "pyramid-d4-J10": ("0x1.ef90bba51c0c0p+4", 44, "0x1.1b33874dc87aap+5"),
@@ -516,7 +517,7 @@ class TestRowPruning:
     }
 
     @pytest.mark.parametrize("name", list(MESHES))
-    def test_bit_identical_to_unpruned_values(self, name):
+    def test_pins_exact_operator_norm_bits(self, name):
         norm, witness, bound = exact_operator_norm(self.MESHES[name]())
         assert (norm.hex(), witness, bound.hex()) == self.PINNED[name]
 
