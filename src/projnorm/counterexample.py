@@ -7,8 +7,13 @@ linearly in the ring index; as t -> 0 the normalized Galerkin system,
 collapsed onto the rotation orbits, converges to an explicit bidiagonal limit
 system whose solution has sup norm 2J+1.  The pyramid joins converge to the
 same system plus one apex unknown, coupled to every row by (d-2)/2, so the 2D
-limit is the pyramid limit at d = 2.  This module builds the reductions, the
-limit systems and the parameter sweeps that exhibit the growth.
+limit is the pyramid limit at d = 2.  The reduced system also has a
+closed-form ring stencil at every t >= 0, written from the ring areas
+without building a mesh: convergence_study (`reproduce --limit`) solves it,
+the limit systems are its t = 0 rows, and reduced_ring_system(mesh), the
+reduction derived from a labeled mesh, is what checks it.  This module
+builds the reductions, the limit systems and the parameter sweeps that
+exhibit the growth.
 """
 
 from __future__ import annotations
@@ -124,7 +129,7 @@ def limit_system_2d(J):
     x_{j-1} + x_j = 2 (-1)^j.
     """
     check_integer(J, 1, f"J must be an integer >= 1, got {J!r}")
-    return _limit_system(J, 2)
+    return _ring_system(J, 0.0, 2)
 
 
 def limit_solution_2d(J):
@@ -144,33 +149,52 @@ def limit_system_pyramid(J, d):
     """
     check_integer(J, 1, f"J must be an integer >= 1, got {J!r}")
     check_integer(d, 3, f"pyramid limit systems need d >= 3, got {d!r}")
-    return _limit_system(J, d)
+    return _ring_system(J, 0.0, d)
 
 
-def _limit_system(J, d):
-    """The rows of limit_system_pyramid for any d >= 2.
+def _ring_system(J, t, d):
+    """reduced_ring_system of the J-ring family at 0 <= t < 1 in closed form.
 
-    At d = 2 the apex coupling (d-2)/2 vanishes, so the apex unknown drops
-    out: its row and column are left out and the rest is limit_system_2d.
+    Annulus j lies between the squares of half-widths a = t^(j-1) and
+    b = t^j; each of its sides holds triangles of areas T1 = b(a-b) and
+    T2 = a(a-b), so an outer corner's star there is T1 + 2 T2 and an inner
+    corner's 2 T1 + T2, and the fan triangles have area t^(2J).  Row j is
+    divided by annulus j's area scale t^(2(j-1))(1-t) (ring 0 by annulus
+    1's), which makes (T1, T2) = (t, 1) in its own annulus and t^2 (t, 1)
+    one annulus in, and the fan t^2/(1-t); the center row is divided by
+    t^(2J).  At t = 0 the rows are the limit systems.  The join (d >= 3)
+    adds an apex column (d-2)/2, scales the base right-hand sides by
+    (d+2)/4 and adds the apex row: each orbit's star area over twice the
+    square's, and (d+2)/2 times the data's mean over the square.
     """
-    k = J + 2 if d == 2 else J + 3
+    # row j's weights of annulus j (its corners inner), annulus j+1 (outer), fan
+    j = np.arange(J + 1)
+    inner = (j > 0) * 1.0
+    outer = np.where(j == 0, 1.0, t * t) * (j < J)
+    fan = (j == J) * (t * t / (1.0 - t))
+    star = inner * (2 * t + 1) + outer * (t + 2) + 2 * fan
+    # entry (j, r): each triangle of a ring-j corner's star times its count of
+    # ring-r vertices (the corner twice), over twice the star's area.  Summed
+    # on (outer ring, inner ring), an outer corner weighs T1 by (2, 2) and T2
+    # by (6, 2), an inner corner T1 by (2, 6) and T2 by (2, 2), and a ring-J
+    # corner the fan by (6, 2) on (ring J, center)
+    k = J + 2 + (d > 2)
     A = np.zeros((k, k))
     b = np.zeros(k)
-    rhs_scale = (d + 2) / 2.0
-    A[0, 0] = 1.5
-    A[0, 1] = 0.5
-    b[0] = -rhs_scale
-    for j in range(1, J + 2):
-        A[j, j - 1] = 1.0
-        A[j, j] = 1.0
-        b[j] = rhs_scale * (-1.0) ** j
+    A[j[1:], j[1:] - 1] = (2 * t + 2) / (2 * star[1:])
+    A[j, j] = (inner * (6 * t + 2) + outer * (2 * t + 6) + 6 * fan) / (2 * star)
+    A[j, j + 1] = (outer * (2 * t + 2) + 2 * fan) / (2 * star)
+    A[J + 1, J:J + 2] = 1.0
+    sign = (-1.0) ** np.arange(J + 2)
+    b[:J + 1] = 2 * sign[:-1] * (inner * (2 * t + 1) - outer * (t + 2) - 2 * fan) / star
+    b[J + 1] = 2 * sign[-1]
     if d > 2:
-        # x' is the last unknown, coupled to every other row by (d-2)/2
+        scale = t ** np.maximum(2 * j - 2, 0) * (1.0 - t)
+        b[:-1] *= (d + 2) / 4.0
+        b[-1] = (d + 2) / 2.0 * (sign[1:J + 1] @ scale[1:] * (1.0 + t) + sign[-1] * t ** (2 * J))
         A[:-1, -1] = (d - 2) / 2.0
-        A[-1, 0] = 1.0
-        A[-1, 1] = 0.5
-        A[-1, -1] = 1.0 + (d - 3) / 2.0
-        b[-1] = -rhs_scale
+        A[-1, :-1] = np.append(star * scale, t ** (2 * J)) / 2.0
+        A[-1, -1] = (d - 1) / 2.0
     return LimitSystem(matrix=A, rhs=b)
 
 
@@ -190,27 +214,21 @@ class SweepRecord:
 def convergence_study(J, t_list):
     """Reduced solutions of the 2D family against the limit solution.
 
-    For each t the orbit-reduced system is solved and compared entrywise with
+    For each t, checked against the underflow guard in order, the closed-form
+    ring stencil _ring_system(J, t, 2) is solved and compared entrywise with
     the closed-form limit; limit_error is the largest deviation and shrinks
-    like t as t -> 0.  Every t gives the same simplices and labels, so the
-    oscillating data and the orbits come from the first mesh alone; each t
-    assembles its own normalized system, which reduce_by_symmetry checks for
-    equivariance, as reduced_ring_system does.
+    like t as t -> 0.  No mesh is built: reduced_ring_system of the built
+    mesh is the same system, reduced from the float mesh.
     """
     x_hat = limit_solution_2d(J)
     records = []
-    first = None
     for t in t_list:
-        mesh = build_counterexample_2d(J, float(t))
-        if first is None:
-            first, orbits = mesh, symmetry_orbits(mesh, symmetry_generators(mesh))
-            data = oscillating_data(mesh)
-        assert np.array_equal(mesh.simplices, first.simplices) and mesh.labels == first.labels
-        x = reduce_by_symmetry(normalized_system(mesh, data), orbits).solve()
+        t = check_ring_parameters(J, t)
+        x = _ring_system(J, t, 2).solve()
         records.append(
             SweepRecord(
                 J=J,
-                t=float(t),
+                t=t,
                 d=2,
                 sup_norm=float(np.abs(x).max()),
                 limit_error=float(np.abs(x - x_hat).max()),

@@ -430,6 +430,19 @@ class TestReproduceCommand:
                    "-o", str(tmp_path / "s.csv")) == 2
         assert "J=63, t=0.01" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("J, ts, message", [
+        ("2", "0.2,1.5", "t must satisfy 0 < t < 1, got 1.5"),
+        ("200", "0.01", "J=200, t=0.01 would produce simplex volumes"),
+    ], ids=["t-above-1", "past-underflow-guard"])
+    def test_limit_keeps_the_mesh_family_guards(self, tmp_path, capsys, J, ts, message):
+        # the closed-form stencil builds no mesh, yet --limit still refuses
+        # every (J, t) the mesh family refuses, before any CSV is written
+        out = tmp_path / "s.csv"
+        assert run("reproduce", "--limit", "--J", J, "--t", ts, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_pyramid(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert run("reproduce", "--pyramid", "--J", "2..5", "--t", "0.01",

@@ -10,7 +10,6 @@ from projnorm import counterexample, projection
 from projnorm import mesh as meshmod
 from projnorm import (
     InvalidParameter,
-    SweepRecord,
     MissingLabels,
     NotEquivariant,
     build_counterexample_2d,
@@ -196,6 +195,51 @@ class TestRationalWitness:
         assert np.abs(g.nodal_values - expanded).max() <= 1e-13 * sup
 
 
+class TestRingStencil:
+    """_ring_system, the closed-form reduced system, against its referees."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("t", [0.5, 0.1, 0.01, 1e-4])
+    @pytest.mark.parametrize("J", [1, 2, 5, 20])
+    def test_matches_reduction_of_built_mesh(self, J, t, d):
+        # every (J, t) here passes the underflow guard, J = 20 at t = 1e-4 too
+        mesh = build_counterexample_2d(J, t) if d == 2 else build_pyramid_partition(J, t, d)
+        reduced = reduced_ring_system(mesh)
+        stencil = counterexample._ring_system(J, t, d)
+        assert stencil.matrix.shape == reduced.matrix.shape
+        assert np.abs(stencil.matrix - reduced.matrix).max() <= 1e-15
+        assert np.abs(stencil.rhs - reduced.rhs).max() <= 1e-14 * (d + 2) / 2
+
+    @pytest.mark.parametrize("t", [0.5, 0.1, 0.01, 1e-4])
+    @pytest.mark.parametrize("J", [1, 2, 5, 20])
+    def test_2d_solution_matches_exact_solve(self, J, t):
+        exact = np.array([float(x) for x in oracles.rational_ring_witness(J, Fraction(t))])
+        x = counterexample._ring_system(J, t, 2).solve()
+        assert np.abs(x - exact).max() <= 1e-14 * (2 * J + 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_t0_rows_are_the_documented_limit_rows(self, d):
+        # the limit rows as the limit_system docstrings state them, written
+        # out one entry at a time; t = 0 must give them bit for bit
+        for J in range(1, 21):
+            k = J + 2 + (d > 2)
+            A, b = np.zeros((k, k)), np.zeros(k)
+            A[0, :2] = 1.5, 0.5
+            b[0] = -(d + 2) / 2
+            for j in range(1, J + 2):
+                A[j, j - 1] = A[j, j] = 1.0
+                b[j] = (d + 2) / 2 * (-1.0) ** j
+            if d > 2:
+                A[:-1, -1] = (d - 2) / 2
+                A[-1, :2] = 1.0, 0.5
+                A[-1, -1] = 1 + (d - 3) / 2
+                b[-1] = -(d + 2) / 2
+            lim = counterexample._ring_system(J, 0.0, d)
+            assert np.array_equal(lim.matrix, A) and np.array_equal(lim.rhs, b)
+            public = limit_system_2d(J) if d == 2 else limit_system_pyramid(J, d)
+            assert np.array_equal(public.matrix, A) and np.array_equal(public.rhs, b)
+
+
 class TestLimitSystems:
     def test_2d_smallest_case_is_explicit(self):
         lim = limit_system_2d(1)
@@ -288,33 +332,32 @@ class TestSweeps:
 
     @pytest.mark.parametrize("ts", [[1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4], [0.2, 0.1, 0.05]],
                              ids=["bench", "readme"])
-    def test_convergence_study_matches_per_t_reductions(self, monkeypatch, ts):
-        # one label decode and one orbit partition serve the whole sweep, and
-        # the rows are those of one reduced_ring_system per t
-        x_hat = limit_solution_2d(20)
-        expected = []
-        for t in ts:
-            x = reduced_ring_system(build_counterexample_2d(20, t)).solve()
-            expected.append(SweepRecord(J=20, t=t, d=2, sup_norm=float(np.abs(x).max()),
-                                        limit_error=float(np.abs(x - x_hat).max())))
+    def test_convergence_study_matches_exact_solves(self, monkeypatch, ts):
+        # each row lies within 1e-14 (2J+1) of the exact rational solve at
+        # the same float t, and the sweep builds no mesh, decodes no label
+        # and forms no orbit
+        J = 20
+        x_hat = [Fraction(int(v)) for v in limit_solution_2d(J)]
+        exact = [oracles.rational_ring_witness(J, Fraction(t)) for t in ts]
         calls = Counter()
-        for module, name in ((counterexample, "symmetry_orbits"), (meshmod, "vertex_roles")):
+        for module, name in ((counterexample, "build_counterexample_2d"),
+                             (meshmod, "build_counterexample_2d"),
+                             (meshmod, "vertex_roles"),
+                             (counterexample, "symmetry_orbits"),
+                             (meshmod, "symmetry_orbits")):
             def counted(*args, fn=getattr(module, name), name=name):
                 calls[name] += 1
                 return fn(*args)
 
             monkeypatch.setattr(module, name, counted)
-        assert sweep_to_csv(convergence_study(20, ts)) == sweep_to_csv(expected)
-        assert calls == {"symmetry_orbits": 1, "vertex_roles": 1}
-
-    def test_convergence_study_checks_every_mesh_against_the_first(self, monkeypatch):
-        # the first mesh's data and orbits are reused only while the simplices
-        # and labels match
-        build = counterexample.build_counterexample_2d
-        monkeypatch.setattr(counterexample, "build_counterexample_2d",
-                            lambda J, t: build(J if t > 0.1 else J + 1, t))
-        with pytest.raises(AssertionError):
-            convergence_study(2, [0.2, 0.05])
+        records = convergence_study(J, ts)
+        assert calls == {}
+        assert [(r.J, r.t, r.d) for r in records] == [(J, t, 2) for t in ts]
+        for r, x in zip(records, exact):
+            sup = float(max(abs(v) for v in x))
+            err = float(max(abs(v - w) for v, w in zip(x, x_hat)))
+            assert abs(r.sup_norm - sup) <= 1e-14 * (2 * J + 1)
+            assert abs(r.limit_error - err) <= 1e-14 * (2 * J + 1)
 
     def test_convergence_study_near_limit_value(self):
         (rec,) = convergence_study(2, [1e-3])
