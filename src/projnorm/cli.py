@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -160,13 +159,19 @@ def build_parser():
     return parser
 
 
+def _report_value(value):
+    # orjson writes inf and nan as null, which marks a key left unset
+    if isinstance(value, float) and not math.isfinite(value):
+        return {"inf": b"Infinity", "-inf": b"-Infinity"}.get(str(value), b"NaN")
+    return meshmod.to_json(value)
+
+
 def _write_report(report, path):
-    # One line per key of _REPORT_KEYS, null where unset, each value compact:
-    # json.dumps without indent runs the C encoder, json.dump never does.
-    lines = (f"{json.dumps(key)}:{json.dumps(report.get(key), separators=(',', ':'))}"
-             for key in _REPORT_KEYS)
-    with open(path, "w") as fh:
-        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    """One line per key of _REPORT_KEYS, null where unset, each value compact
+    meshmod.to_json bytes: the mesh line is the mesh file, less its newline."""
+    lines = (b'"%s":%s' % (key.encode(), _report_value(report.get(key))) for key in _REPORT_KEYS)
+    with open(path, "wb") as fh:
+        fh.write(b"{\n" + b",\n".join(lines) + b"\n}\n")
 
 
 def cmd_mesh(args):
@@ -198,7 +203,7 @@ def cmd_project(args):
         f = proj.CellwiseConstant(np.asarray(args.values))
     x, residual = proj.solve_with_load(mesh, proj.assemble_load(mesh, f))
     sup = float(np.abs(x).max())
-    report = {"mesh": meshmod.mesh_to_dict(mesh), "nodal_values": x.tolist(),
+    report = {"mesh": mesh, "nodal_values": x,
               "sup_norm": sup, "residual": residual}
     _write_report(report, args.output)
     print(f"sup_norm: {sup:.12g}  residual: {residual:.3e}")
@@ -221,7 +226,7 @@ def cmd_norm(args):
             f"satisfied: {result.satisfied}"
         )
     if args.output:
-        report = {"mesh": meshmod.mesh_to_dict(mesh), "exact_operator_norm": norm,
+        report = {"mesh": mesh, "exact_operator_norm": norm,
                   "ainv_bound": bound, "c0": c0, "prop1_bound": prop1_bound}
         _write_report(report, args.output)
         print(f"wrote {args.output}")

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import orjson
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 
@@ -144,11 +145,12 @@ class SimplicialMesh:
             raise InvalidParameter(f"vertex {orphan} is not referenced by any simplex")
         labels = dict(labels) if labels else {}
         for k, label in labels.items():
-            # True is not vertex 1, nor None the label "None"
+            # True is not vertex 1, nor None the label "None"; no file holds a
+            # surrogate ("\ud800"), which has no UTF-8 form
             if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n:
                 raise InvalidParameter(f"label key {k!r} is not a vertex id 0..{n - 1}")
-            if not isinstance(label, str):
-                raise InvalidParameter(f"label of vertex {k} is not a string: {label!r}")
+            if not isinstance(label, str) or re.search("[\ud800-\udfff]", label):
+                raise InvalidParameter(f"label of vertex {k} is not a UTF-8 string: {label!r}")
 
         vols = _volumes(vertices, simplices)
         if (vols <= VOLUME_EPSILON).any():
@@ -810,22 +812,23 @@ def symmetry_generators(mesh):
 # serialization
 
 
+def to_json(value):
+    """Compact JSON bytes of value, by orjson: numpy arrays from their buffers,
+    a SimplicialMesh as its mesh-file object, labels as raw UTF-8, and every
+    float as the shortest text that reads back to it bit for bit (Ryu)."""
+    return orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY, default=lambda mesh: {
+        "dim": mesh.dim, "vertices": mesh.vertices, "simplices": mesh.simplices,
+        "labels": {str(k): v for k, v in sorted(mesh.labels.items())}})
+
+
 def mesh_to_dict(mesh):
-    """JSON-ready dict of plain Python floats and ints; the writer controls
-    the digits."""
-    return {
-        "dim": mesh.dim,
-        "vertices": mesh.vertices.tolist(),
-        "simplices": mesh.simplices.tolist(),
-        "labels": {str(k): v for k, v in sorted(mesh.labels.items())},
-    }
+    """The object of a mesh file, in plain Python floats, ints and strs."""
+    return orjson.loads(mesh_to_json(mesh))
 
 
 def mesh_to_json(mesh):
-    """Compact JSON text of mesh_to_dict plus a newline: the bytes a report
-    writes for its mesh key.  Deterministic, and every float is written by
-    repr, so -0.0 and t**J round-trip bit for bit."""
-    return json.dumps(mesh_to_dict(mesh), separators=(",", ":")) + "\n"
+    """to_json(mesh) plus a newline: a mesh file, and a report's mesh line."""
+    return to_json(mesh) + b"\n"
 
 
 def _typed_array(rows, kinds, message):
@@ -877,17 +880,19 @@ def _vertex_id(key):
 
 
 def mesh_from_json(text):
-    """Mesh from JSON text, as str or as bytes in UTF-8 (or UTF-16/32)."""
+    """Mesh from JSON text: a str, or bytes in UTF-8 (a BOM allowed) or UTF-16/32."""
     try:
-        data = json.loads(text)
-    # ValueError: not JSON, or bytes that do not decode; RecursionError: too deep
-    except (ValueError, RecursionError) as exc:
+        if not isinstance(text, str) and (code := json.detect_encoding(text)) != "utf-8":
+            text = text.decode(code)
+        data = orjson.loads(text)
+    # ValueError: not JSON, bytes that do not decode, or nested over 1024 deep
+    except ValueError as exc:
         raise InvalidParameter(f"malformed mesh file: {exc}") from exc
     return mesh_from_dict(data)
 
 
 def save_mesh(mesh, path):
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.write(mesh_to_json(mesh))
 
 

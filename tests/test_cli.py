@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import runpy
 import sys
 import types
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projnorm import (build_uniform_square, cli, counterexample, load_mesh, mesh_to_dict,
-                      projection)
+from projnorm import (SimplicialMesh, build_interval_partition, build_uniform_square, cli,
+                      counterexample, load_mesh, mesh_to_dict, projection)
 
 
 def run(*argv):
@@ -177,13 +178,15 @@ class TestProjectCommand:
             # one corner label on two vertices would decode to wrong witness data
             ("labels", {"0": "ring 0 corner 1", "1": "ring 0 corner 1",
                         "2": "ring 0 corner 2", "3": "center"}, OSCILLATING),
+            # no UTF-8 form: neither a report nor a mesh file could hold it
+            ("labels", {"0": "\ud800"}, VALUES),
         ],
         ids=["labels-list", "id-1e30", "id-fractional", "id-bool",
              "dim-fractional", "dim-float", "dim-string", "dim-bool",
              "coord-bool", "coord-string",
              "label-empty", "label-ring-not-a-number",
              "label-underscore", "label-space", "label-out-of-range", "label-null", "label-number",
-             "label-second-center", "label-twin-corner"],
+             "label-second-center", "label-twin-corner", "label-lone-surrogate"],
     )
     def test_malformed_mesh_json_exits_2(self, tmp_path, capsys, field, value, data_args):
         mesh_file = tmp_path / "mesh.json"
@@ -299,12 +302,32 @@ class TestNormCommand:
             runs.append((captured.out, captured.err, report_file.read_bytes()))
         assert runs[0] == runs[1]
 
+    def test_overflowed_bound_stays_infinite(self, tmp_path, capsys):
+        # c0 = 9e-156 squares below the normal doubles, so prop1_bound is inf:
+        # json.loads reads it back as inf, not as the null of an unset key
+        mesh_file = tmp_path / "mesh.json"
+        run("mesh", "counterexample2d", "--J", "1", "--t", "3e-78", "-o", str(mesh_file))
+        report_file = tmp_path / "report.json"
+        assert run("norm", "--mesh", str(mesh_file), "-o", str(report_file)) == 0
+        assert "prop1_bound: inf" in capsys.readouterr().out
+        assert json.loads(report_file.read_text())["prop1_bound"] == math.inf
+
     def test_interval_skips_2d_coupling_bound(self, tmp_path, capsys):
         mesh_file = tmp_path / "mesh.json"
         run("mesh", "interval", "--breakpoints", "0,1,2,4", "-o", str(mesh_file))
         capsys.readouterr()
         assert run("norm", "--mesh", str(mesh_file)) == 0
         assert "c0:" not in capsys.readouterr().out
+
+
+def plain_value(value):
+    """A report value as the file holds it: a mesh as the dim, vertices,
+    simplices and labels of its file, an array as a list."""
+    if isinstance(value, SimplicialMesh):
+        return {"dim": value.dim, "vertices": value.vertices.tolist(),
+                "simplices": value.simplices.tolist(),
+                "labels": {str(k): v for k, v in sorted(value.labels.items())}}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 class TestReportFile:
@@ -334,10 +357,12 @@ class TestReportFile:
             assert run(command[0], "--mesh", str(mesh_file), *command[1:],
                        "-o", str(path)) == 0
         text = paths[0].read_text()
-        expected = {key: reports[0].get(key) for key in cli._REPORT_KEYS}
+        # the command passes the mesh and its arrays; the file holds them as
+        # a mesh file's object and as lists
+        expected = {key: plain_value(reports[0].get(key)) for key in cli._REPORT_KEYS}
         loaded = json.loads(text)
-        # dumping both compares key order at every level and every float's
-        # repr, so bit-equal floats; null fields are kept
+        # stdlib json.dumps of both compares key order at every level and
+        # every float's repr, so bit-equal floats; null fields are kept
         assert set(reports[0]) <= set(cli._REPORT_KEYS)
         assert json.dumps(loaded) == json.dumps(expected)
         assert None in loaded.values()
@@ -346,6 +371,20 @@ class TestReportFile:
         # one top-level key per line
         lines = text.splitlines()
         assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(expected) + 2
+
+    def test_floats_read_back_bit_for_bit(self, tmp_path):
+        # every finite double: subnormals, -0.0 and the largest ones included
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([x[np.isfinite(x)], [-0.0, 5e-324, -1.7976931348623157e308]])
+        mesh = build_interval_partition([-1e300, -0.0, 0.01**60, 1e-7, 1e16])
+        sup = float(x[1])
+        cli._write_report({"mesh": mesh, "nodal_values": x, "sup_norm": sup},
+                          tmp_path / "report.json")
+        loaded = json.loads((tmp_path / "report.json").read_text())
+        assert np.array(loaded["nodal_values"]).tobytes() == x.tobytes()
+        assert loaded["sup_norm"].hex() == sup.hex()
+        assert np.array(loaded["mesh"]["vertices"]).tobytes() == mesh.vertices.tobytes()
 
     @pytest.mark.parametrize("command", [["project", "--oscillating"], ["norm"]],
                              ids=["project", "norm"])

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import orjson
 import pytest
 import oracles
 from hypothesis import given, settings, strategies as st
@@ -166,11 +167,14 @@ class TestConstructorValidation:
             SimplicialMesh([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
     @pytest.mark.parametrize("labels", [{7: "x"}, {-1: "y"}, {True: "x"}, {"0": "x"},
-                                        {1.0: "x"}, {0: None}, {0: ["ring 1 corner 1"]}],
+                                        {1.0: "x"}, {0: None}, {0: ["ring 1 corner 1"]},
+                                        {0: "ring \ud800"}],
                              ids=["key-too-large", "key-negative", "key-bool", "key-str",
-                                  "key-float", "label-none", "label-list"])
+                                  "key-float", "label-none", "label-list",
+                                  "label-lone-surrogate"])
     def test_rejects_labels_save_mesh_could_not_load(self, labels):
-        # keys are vertex ids 0..n-1 and values strings, as load_mesh requires
+        # keys are vertex ids 0..n-1 and values strings with a UTF-8 form, as
+        # save_mesh and load_mesh require
         with pytest.raises(InvalidParameter):
             SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], labels)
 
@@ -951,6 +955,21 @@ ROW_LAYOUT = """{
 """
 
 
+def bit_pattern_interval():
+    """Interval mesh on random finite doubles of every bit pattern with |x| in
+    2**-980..2**997 (about 1e-295..1e300), plus -0.0 and 0.01**60; every cell
+    is longer than 2 * VOLUME_EPSILON."""
+    rng, size = np.random.default_rng(0), 2000
+    bits = (rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+            | rng.integers(1023 - 980, 1023 + 997, size, dtype=np.uint64) << np.uint64(52)
+            | rng.integers(0, 2**52, size, dtype=np.uint64))
+    points = np.sort(np.concatenate([bits.view(np.float64), [-0.0, 0.01**60]]))
+    # no |x| is below 1e-295, so this keeps -0.0 and 0.01**60
+    points = points[np.r_[True, np.diff(points) > 2 * meshmod.VOLUME_EPSILON]]
+    assert np.signbit(points[points == 0]).tolist() == [True] and 0.01**60 in points
+    return build_interval_partition(points)
+
+
 def assert_bit_equal(a, b):
     assert a.vertices.tobytes() == b.vertices.tobytes()
     assert a.simplices.tobytes() == b.simplices.tobytes()
@@ -970,11 +989,26 @@ class TestSerialization:
         lambda: build_pyramid_partition(40, 0.01, 5),
         # -0.0 written as -0 would load as +0.0
         lambda: build_interval_partition([-1.0, -0.0, 1.0]),
-    ], ids=["cx-J60", "pyramid-d5-J40", "negative-zero"])
+        bit_pattern_interval,
+    ], ids=["cx-J60", "pyramid-d5-J40", "negative-zero", "bit-patterns"])
     def test_file_round_trip_is_bit_exact(self, tmp_path, build):
         mesh = build()
         save_mesh(mesh, tmp_path / "mesh.json")
         assert_bit_equal(load_mesh(tmp_path / "mesh.json"), mesh)
+        # files written by json.dumps, as every float's repr, load the same
+        compact = json.dumps(mesh_to_dict(mesh), separators=(",", ":"))
+        (tmp_path / "repr.json").write_text(compact + "\n")
+        assert_bit_equal(load_mesh(tmp_path / "repr.json"), mesh)
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32",
+                                          "utf-32-le"])
+    def test_reads_every_encoding_json_reads(self, tmp_path, encoding):
+        mesh = SimplicialMesh([[0.0], [0.1], [1.0]], [[0, 1], [1, 2]],
+                              {0: "größe", 2: "ring 0 corner 1"})
+        save_mesh(mesh, tmp_path / "mesh.json")
+        text = (tmp_path / "mesh.json").read_bytes().decode("utf-8")
+        (tmp_path / "other.json").write_bytes(text.encode(encoding))
+        assert_bit_equal(load_mesh(tmp_path / "other.json"), mesh)
 
     def test_bytes_deterministic(self):
         a = mesh_to_json(build_pyramid_partition(2, 0.37, 3))
@@ -982,8 +1016,24 @@ class TestSerialization:
         assert a == b
 
     def test_text_is_the_compact_dict(self):
-        mesh = build_pyramid_partition(2, 0.37, 3)
-        assert mesh_to_json(mesh) == json.dumps(mesh_to_dict(mesh), separators=(",", ":")) + "\n"
+        # the arrays written from their buffers give orjson's bytes for the
+        # same values as lists, on one line; 0.01**J needs an exponent
+        for mesh in build_pyramid_partition(2, 0.37, 3), build_counterexample_2d(20, 0.01):
+            text = mesh_to_json(mesh)
+            assert text == orjson.dumps(mesh_to_dict(mesh)) + b"\n"
+            assert text.count(b"\n") == 1
+            assert mesh_to_dict(mesh) == {
+                "dim": mesh.dim, "vertices": mesh.vertices.tolist(),
+                "simplices": mesh.simplices.tolist(),
+                "labels": {str(k): v for k, v in sorted(mesh.labels.items())}}
+
+    def test_integers_beyond_64_bits(self):
+        # a JSON number, so a coordinate: it reads as its nearest double, as
+        # 1e23 does; as a simplex id it is no int64 and is refused
+        text = '{"dim":1,"vertices":[[0],[99999999999999999999999]],"simplices":[[0,%s]]}'
+        assert mesh_from_json(text % 1).vertices[1, 0] == 1e23
+        with pytest.raises(InvalidParameter):
+            mesh_from_json(text % 10**22)
 
     def test_reads_the_row_layout(self, tmp_path):
         (tmp_path / "mesh.json").write_text(ROW_LAYOUT)
