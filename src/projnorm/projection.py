@@ -6,11 +6,19 @@ contribution is V * (1 + delta_ij) / ((d+1)(d+2)) and the load contribution is
 f * V / (d+1), so everything is assembled in closed form; no quadrature is
 involved anywhere in this module.
 
-Every solve goes through one sparse LU factorization of the symmetrically
-scaled S = D^{-1/2} M D^{-1/2} (D the diagonal of M), its columns in the
-symmetric minimum-degree order of S + S^T (MMD_AT_PLUS_A): S is symmetric,
-and on large meshes that order keeps about half the fill of the COLAMD
-default.  Every solve passes the normalized-residual gate of _mass_solver.
+A single load (solve_with_load, behind project) is first solved by
+conjugate gradients preconditioned by the diagonal D of M (Jacobi-CG) when
+the iteration budget that the spectrum of D^{-1} M, [1/2, (d+2)/2], gives
+for the mesh's dimension, size and grading is at most _CG_MAX_ITER: that is
+quasi-uniform meshes, not the shrinking-square ones.  The CG iterate is kept
+only if its true normalized residual ||D^{-1}(F - M x)||_inf /
+||D^{-1} F||_inf, recomputed from M, x and F, is within _CG_RTOL (4 machine
+epsilons).  Every other solve, the fallback of a refused iterate and all
+dual rows of the norm, goes through one sparse LU factorization of the
+symmetrically scaled S = D^{-1/2} M D^{-1/2}, its columns in the symmetric
+minimum-degree order of S + S^T (MMD_AT_PLUS_A): S is symmetric, and on
+large meshes that order keeps about half the fill of the COLAMD default;
+those solves pass the same normalized-residual gate at RESIDUAL_RTOL.
 The sup norm of the projector equals the largest L1 norm of a dual function,
 a row of M^{-1}; exact_operator_norm solves for the rows in blocks and never
 holds M^{-1} whole.  The same rows give the bound (d+2)/2 * ||A^{-1}||_inf
@@ -26,6 +34,7 @@ pyramid joins, where nearly every other row is then pruned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,8 +49,20 @@ from .errors import (
     UnsupportedDimension,
 )
 
-# Largest normalized residual (see solve_with_load) a solve may leave.
+# Largest normalized residual (see _residual_gate) a solve may leave.
 RESIDUAL_RTOL = 1e-10
+# Normalized residual a Jacobi-CG iterate must reach to be kept: 4 machine
+# epsilons, 8.9e-16.  Rounding in M x alone leaves a few epsilons, and the LU
+# leaves 1-4e-16 on quasi-uniform meshes, so a kept iterate is as accurate as
+# the factorization it replaces.
+_CG_RTOL = 4 * np.finfo(float).eps
+# ln(2 / tau) for tau = _CG_RTOL, the constant term of _cg_budget.
+_CG_LOG_TARGET = math.log(2.0 / _CG_RTOL)
+# Largest Jacobi-CG budget (_cg_budget) that is run before the LU: a
+# quasi-uniform mesh (g <= 10) with 10^6 vertices in d = 5 needs 56, while
+# the graded meshes need hundreds (287 on cx J=60 at t = 0.01), where one
+# factorization costs less.
+_CG_MAX_ITER = 64
 
 # Sign classification threshold for the exact |linear| integrator: values
 # within 1e-14 of the local scale count as zero.
@@ -158,16 +179,31 @@ def normalized_system(mesh, f):
     return NormalizedSystem(A=A, b=b)
 
 
+def _residual_gate(M, diag, x, b, rtol):
+    """(passed, residual) of a solution x of M x = b, diag the diagonal D of M.
+
+    b is a vector or a block of columns; residual is the largest
+    ||D^{-1}(M x - b)||_inf / ||D^{-1} b||_inf over the columns, which unlike
+    max|M x - b| sees errors on the tiny inner rows of a graded mesh, and
+    passed says whether every column is within rtol.
+    """
+    db = diag[:, None] if b.ndim == 2 else diag
+    error = np.abs((M @ x - b) / db).max(axis=0)
+    scale = np.abs(b / db).max(axis=0)
+    residual = float(np.max(error / np.where(scale > 0, scale, 1.0)))
+    # written so that a NaN residual fails and a zero load passes
+    return bool(np.all(error <= rtol * scale)), residual
+
+
 def _mass_solver(M):
     """Factor M once and return solve(b) -> (x, residual) for M x = b.
 
     The factor is of S = D^{-1/2} M D^{-1/2}, not M: the entries of M span
     dozens of orders of magnitude on the shrinking-square meshes, while the
     eigenvalues of S lie in [1/2, (d+2)/2], so its factorization stays well
-    conditioned.  b is a vector or a block of columns; residual is the largest
-    ||D^{-1}(M x - b)||_inf / ||D^{-1} b||_inf over the columns, which unlike
-    max|M x - b| sees errors on the tiny inner rows of a graded mesh.  Above
-    RESIDUAL_RTOL solve raises SolveFailure.
+    conditioned.  b is a vector or a block of columns; residual is the
+    normalized residual of _residual_gate, and above RESIDUAL_RTOL solve
+    raises SolveFailure.
     """
     diag = M.diagonal()
     s = 1.0 / np.sqrt(diag)
@@ -180,13 +216,10 @@ def _mass_solver(M):
         raise SolveFailure(f"mass matrix factorization failed: {exc}") from exc
 
     def solve(b):
-        sb, db = (s[:, None], diag[:, None]) if b.ndim == 2 else (s, diag)
+        sb = s[:, None] if b.ndim == 2 else s
         x = sb * lu.solve(sb * b)
-        error = np.abs((M @ x - b) / db).max(axis=0)
-        scale = np.abs(b / db).max(axis=0)
-        residual = float(np.max(error / np.where(scale > 0, scale, 1.0)))
-        # written so that a NaN residual fails and a zero load passes
-        if not np.all(error <= RESIDUAL_RTOL * scale):
+        passed, residual = _residual_gate(M, diag, x, b, RESIDUAL_RTOL)
+        if not passed:
             raise SolveFailure(
                 f"projection solve left normalized residual {residual:.3e} "
                 f"(allowed {RESIDUAL_RTOL:.0e})",
@@ -197,10 +230,72 @@ def _mass_solver(M):
     return solve
 
 
+def _cg_budget(d, diag):
+    """Jacobi-CG iterations after which the normalized residual is below _CG_RTOL.
+
+    With x_0 = 0 the error e_k of CG on M x = F preconditioned by D falls as
+    ||e_k||_M <= 2 rho^k ||x||_M, rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1),
+    and kappa <= d + 2 since D^{-1} M has its spectrum in [1/2, (d+2)/2]
+    (Wathen 1987).  With n vertices and g = max M_PP / min M_PP,
+    ||D^{-1} r||_inf / ||D^{-1} F||_inf <= sqrt(kappa n g) ||e||_M / ||x||_M,
+    so k >= ln(2 sqrt(kappa n g) / tau) / ln(1 / rho) iterations suffice;
+    this returns that bound unrounded, inf when g overflows.
+    """
+    kappa = d + 2
+    rho = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    g = float(diag.max()) / float(diag.min())
+    return (_CG_LOG_TARGET + 0.5 * math.log(kappa * len(diag) * g)) / -math.log(rho)
+
+
+def _jacobi_cg(M, diag, F, budget):
+    """(x, residual) from at most budget Jacobi-CG steps on M x = F, or None.
+
+    An iterate is returned only when its true normalized residual, recomputed
+    from M, x and F by _residual_gate, is within _CG_RTOL.  The recursive
+    residual r only says when to look: on graded meshes it falls below
+    _CG_RTOL while the true one stalls (near 2e-14 on cx J=60, t = 0.01).
+    """
+    x = np.zeros_like(F)
+    r = F.copy()
+    z = r / diag
+    p = z.copy()
+    rz = r @ z
+    target = _CG_RTOL * np.abs(z).max()
+    for _ in range(budget + 1):
+        if np.abs(z).max() <= target:
+            passed, residual = _residual_gate(M, diag, x, F, _CG_RTOL)
+            if passed:
+                return x, residual
+        if not rz > 0.0:  # r = 0 or not finite: no step left to take
+            return None
+        q = M @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = r / diag
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return None
+
+
 def solve_with_load(mesh, load):
-    """Solve M x = load; return x and its normalized residual (_mass_solver)."""
+    """Solve M x = load; return x and its normalized residual (_residual_gate).
+
+    When the Jacobi-CG budget of the mesh (_cg_budget, from its dimension,
+    vertex count and grading) is at most _CG_MAX_ITER, CG runs first and its
+    iterate is kept if its normalized residual is within _CG_RTOL; otherwise,
+    and on every graded mesh, the scaled LU of _mass_solver solves, through
+    its RESIDUAL_RTOL gate.
+    """
     load = _vector_of_length(load, mesh.n_vertices, "load entry per vertex")
-    return _mass_solver(assemble_mass(mesh))(load)
+    M = assemble_mass(mesh)
+    diag = M.diagonal()
+    budget = _cg_budget(mesh.dim, diag)
+    if budget <= _CG_MAX_ITER:
+        solved = _jacobi_cg(M, diag, load, math.ceil(budget))
+        if solved is not None:
+            return solved
+    return _mass_solver(M)(load)
 
 
 def project(mesh, f):
@@ -363,6 +458,8 @@ def proposition1_check(mesh, exact_norm):
     M = M.tocoo()
     off = M.row != M.col
     c0 = float((M.data[off] / diag[M.row[off]]).min())
-    bound = (1.0 + 2.0 * c0) / c0**2
+    # c0**2 is 0.0 from c0 below about 1e-162, where the bound overflows anyway
+    square = c0**2
+    bound = (1.0 + 2.0 * c0) / square if square > 0.0 else math.inf
     return Proposition1Result(c0=c0, bound=bound, exact_norm=exact_norm,
                               satisfied=exact_norm <= bound + 1e-8)

@@ -302,11 +302,13 @@ class TestNormCommand:
             runs.append((captured.out, captured.err, report_file.read_bytes()))
         assert runs[0] == runs[1]
 
-    def test_overflowed_bound_stays_infinite(self, tmp_path, capsys):
-        # c0 = 9e-156 squares below the normal doubles, so prop1_bound is inf:
-        # json.loads reads it back as inf, not as the null of an unset key
+    @pytest.mark.parametrize("t", ["3e-78", "1e-100"])
+    def test_overflowed_bound_stays_infinite(self, tmp_path, capsys, t):
+        # c0 = 9e-156 squares below the normal doubles and c0 = 1e-200 squares
+        # to 0.0, so prop1_bound is inf: json.loads reads it back as inf, not
+        # as the null of an unset key
         mesh_file = tmp_path / "mesh.json"
-        run("mesh", "counterexample2d", "--J", "1", "--t", "3e-78", "-o", str(mesh_file))
+        run("mesh", "counterexample2d", "--J", "1", "--t", t, "-o", str(mesh_file))
         report_file = tmp_path / "report.json"
         assert run("norm", "--mesh", str(mesh_file), "-o", str(report_file)) == 0
         assert "prop1_bound: inf" in capsys.readouterr().out

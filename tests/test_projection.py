@@ -260,6 +260,99 @@ class TestProjection:
         assert 18.5 < g.sup_norm < 21.0
 
 
+def jittered_square(n, seed):
+    rng = np.random.default_rng(seed)
+    return SimplicialMesh(oracles.jittered_square_vertices(rng, n),
+                          build_uniform_square(n).simplices)
+
+
+def count_factorizations(monkeypatch):
+    """The list that gets one entry per splu call from now on."""
+    factor = projection.splu
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "splu", counted)
+    return calls
+
+
+def assert_round_trip(mesh, seed):
+    # M x = M g must return g, its normalized residual within the CG tolerance
+    g = np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.n_vertices)
+    x, residual = solve_with_load(mesh, assemble_mass(mesh) @ g)
+    assert np.abs(x - g).max() <= 2e-15 * np.abs(g).max()
+    assert residual <= projection._CG_RTOL
+
+
+# budgets (_cg_budget): 37 on the grid, 39 at t = 0.5 (grading 2e4), 35 on
+# the geometric interval (grading 1e7), 68 at t = 0.01 and 287 at J = 60
+PATH_MESHES = {
+    "uniform-n16": (lambda: build_uniform_square(16), 0),
+    "jittered-n12": (lambda: jittered_square(12, 3), 0),
+    "cx-J8-t0.5": (lambda: build_counterexample_2d(8, 0.5), 0),
+    "geometric-interval": (lambda: build_interval_partition(
+        np.cumsum([0.0, *np.geomspace(1.0, 1e7, 24)])), 0),
+    "cx-J8-t0.01": (lambda: build_counterexample_2d(8, 0.01), 1),
+    "cx-J60-t0.01": (lambda: build_counterexample_2d(60, 0.01), 1),
+}
+
+
+class TestSolvePaths:
+    """solve_with_load: Jacobi-CG within its budget, else the scaled LU."""
+
+    @pytest.mark.parametrize("name", PATH_MESHES)
+    def test_factorizations_per_project(self, name, monkeypatch):
+        build, factorizations = PATH_MESHES[name]
+        mesh = build()
+        calls = count_factorizations(monkeypatch)
+        project(mesh, np.random.default_rng(2).uniform(-1.0, 1.0, mesh.n_simplices))
+        assert len(calls) == factorizations
+        assert_round_trip(mesh, 5)
+
+    @pytest.mark.parametrize("name, constant, value", [
+        ("uniform-n16", "_CG_RTOL", 0.0),  # no iterate can pass
+        # CG's budget run anyway: its recursive residual drops below the
+        # tolerance while the true one stalls near 2e-14
+        ("cx-J60-t0.01", "_CG_MAX_ITER", 10**4),
+    ])
+    def test_refused_iterate_falls_back_to_the_lu(self, name, constant, value, monkeypatch):
+        mesh = PATH_MESHES[name][0]()
+        F = assemble_load(mesh, np.random.default_rng(4).uniform(-1.0, 1.0, mesh.n_simplices))
+        iterate = projection._jacobi_cg
+        refused = []
+        monkeypatch.setattr(projection, constant, value)
+        monkeypatch.setattr(projection, "_jacobi_cg",
+                            lambda *args: refused.append(iterate(*args)))
+        x, residual = solve_with_load(mesh, F)
+        assert refused == [None]
+        expect, expect_residual = projection._mass_solver(assemble_mass(mesh))(F)
+        assert np.array_equal(x, expect) and residual == expect_residual
+
+    @pytest.mark.parametrize("name", ["uniform-n16", "cx-J8-t0.01"])
+    def test_zero_and_nan_loads(self, name):
+        mesh = PATH_MESHES[name][0]()
+        x, residual = solve_with_load(mesh, np.zeros(mesh.n_vertices))
+        assert not x.any() and residual == 0.0
+        load = np.ones(mesh.n_vertices)
+        load[3] = np.nan
+        with pytest.raises(SolveFailure):
+            solve_with_load(mesh, load)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_spline_loads_on_stellar_meshes(self, d, splits, seed):
+        vertices, simplices = oracles.random_stellar_mesh(np.random.default_rng(seed), d, splits)
+        assert_round_trip(SimplicialMesh(vertices, simplices), seed)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_spline_loads_on_jittered_squares(self, n, seed):
+        assert_round_trip(jittered_square(n, seed), seed)
+
+
 class TestDualBasis:
     @pytest.mark.parametrize(
         "mesh",
