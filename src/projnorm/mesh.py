@@ -43,6 +43,7 @@ is called.  The families are:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -833,15 +834,21 @@ def mesh_to_json(mesh):
 
 def _typed_array(rows, kinds, message):
     """np.asarray(rows); InvalidParameter(message) if it is not empty and its
-    dtype kind is not in kinds or a bool is among its elements, which
-    np.asarray reads as 1 in [0, True] and as 1.0 in [0.5, True]."""
+    dtype kind is not in kinds or a bool is among its elements.  np.asarray
+    reads a bool as 1 in [0, True] and as 1.0 in [0.5, True], so only the
+    entries equal to 0 or 1 have the type of their element looked up."""
     array = np.asarray(rows)
-    items = [rows]
-    for _ in range(array.ndim):
-        items = itertools.chain.from_iterable(items)
-    if array.size and (array.dtype.kind not in kinds
-                       or not {bool, np.bool_}.isdisjoint(map(type, items))):
+    if not array.size:
+        return array
+    if array.dtype.kind not in kinds:
         raise InvalidParameter(message)
+    # argwhere, not nonzero: numpy 2 refuses nonzero on a 0-d array
+    for index in np.argwhere((array == 0) | (array == 1)).tolist():
+        item = rows
+        for i in index:
+            item = item[i]
+        if type(item) in (bool, np.bool_):
+            raise InvalidParameter(message)
     return array
 
 
@@ -880,15 +887,26 @@ def _vertex_id(key):
 
 
 def mesh_from_json(text):
-    """Mesh from JSON text: a str, or bytes in UTF-8 (a BOM allowed) or UTF-16/32."""
+    """Mesh from JSON text: a str, or bytes in UTF-8 (a BOM allowed) or UTF-16/32.
+
+    The cyclic garbage collector is paused while the text is parsed and the
+    mesh built, and left as it was found: orjson makes one list per row, and
+    their allocation would set off collections that scan the whole heap,
+    although every one of those lists dies here."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        if not isinstance(text, str) and (code := json.detect_encoding(text)) != "utf-8":
-            text = text.decode(code)
-        data = orjson.loads(text)
-    # ValueError: not JSON, bytes that do not decode, or nested over 1024 deep
-    except ValueError as exc:
-        raise InvalidParameter(f"malformed mesh file: {exc}") from exc
-    return mesh_from_dict(data)
+        try:
+            if not isinstance(text, str) and (code := json.detect_encoding(text)) != "utf-8":
+                text = text.decode(code)
+            data = orjson.loads(text)
+        # ValueError: not JSON, bytes that do not decode, or nested over 1024 deep
+        except ValueError as exc:
+            raise InvalidParameter(f"malformed mesh file: {exc}") from exc
+        return mesh_from_dict(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_mesh(mesh, path):

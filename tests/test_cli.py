@@ -1,11 +1,14 @@
+import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
 import runpy
 import sys
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,6 +203,39 @@ class TestProjectCommand:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("field, row, col, value, message", [
+        ("vertices", 600, 1, True, "vertex coordinates must be numbers"),
+        ("simplices", 1500, 1, False, "simplex ids must be integers"),
+    ], ids=["coord-true", "id-false"])
+    def test_bool_deep_in_a_large_mesh_file_exits_2(self, tmp_path, capsys, field, row,
+                                                    col, value, message):
+        # only entries equal to 0 or 1 have their type looked up; a bool on an
+        # interior row of 1,089 vertices and 2,048 simplices is one of them
+        mesh_file = tmp_path / "mesh.json"
+        run("mesh", "uniform", "--n", "32", "-o", str(mesh_file))
+        data = json.loads(mesh_file.read_text())
+        data[field][row][col] = value
+        mesh_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("project", "--mesh", str(mesh_file), "--values", ",".join(["1.5"] * 2048),
+                   "-o", str(tmp_path / "r.json")) == 2
+        captured = capsys.readouterr()
+        assert f"error: mesh data: {message}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_malformed_mesh_file_leaves_the_collector_as_found(self, tmp_path, enabled):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 2, "vertices": [[0.0, true]], "simplices": [[0, 0, 0]]}')
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run("project", "--mesh", str(bad), *VALUES,
+                       "-o", str(tmp_path / "r.json")) == 2
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("raw", [
         b"\xff\xfe",
@@ -516,6 +552,96 @@ class TestReproduceCommand:
             parts = row.split(",")
             assert float(parts[4]) >= float(parts[3])
             assert parts[6] != ""
+
+
+# text for the number reader: every float() spelling, and text float() refuses
+_DOUBLES = st.floats().map(repr)
+_SUBNORMALS = st.floats(min_value=-2.2250738585072014e-308,
+                        max_value=2.2250738585072014e-308).map(repr)
+_BIG_INTS = st.integers(min_value=2**64, max_value=10**40).map(str)
+_MANTISSAS = st.builds(
+    lambda sign, digits, point, exponent: (
+        sign + digits[:point] + "." + digits[point:] + exponent),
+    st.sampled_from(["", "-"]),
+    st.text("0123456789", min_size=17, max_size=25),
+    st.integers(min_value=1, max_value=17),
+    st.sampled_from(["", "e", "E"]).flatmap(
+        lambda e: st.just("") if not e else st.integers(-330, 330).map(lambda k: f"{e}{k}")),
+)
+_SPELLINGS = st.sampled_from([
+    "-0", "-0.0", "0", "0.0", "+1", ".5", "1.", "1_0", " 2.5", "2.5\t", "\n3e2 ", "",
+    "inf", "-inf", "Infinity", "nan", "NaN", "true", '"1"', "[1]", "1e400", "-1e-400",
+    "0x10", "1e", "--1", str(2**64), str(-2**70)])
+_NUMBER_TEXT = st.lists(st.one_of(_DOUBLES, _SUBNORMALS, _BIG_INTS, _MANTISSAS, _SPELLINGS),
+                        max_size=6).map(",".join)
+
+
+def _read_by_float(text):
+    """What the float() loop alone makes of text: float.hex of each value, or
+    the class of the exception it raises (ArgumentTypeError for no values)."""
+    try:
+        values = [float(p) for p in text.split(",") if p]
+    except Exception as exc:
+        return type(exc)
+    return [v.hex() for v in values] if values else argparse.ArgumentTypeError
+
+
+class TestNumberReader:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_NUMBER_TEXT)
+    def test_reads_what_float_reads(self, text):
+        try:
+            got = cli._parse_float_list(text)
+        except Exception as exc:
+            got = type(exc)
+        else:
+            assert {*map(type, got)} == {float}
+            got = [v.hex() for v in got]
+        assert got == _read_by_float(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    def test_repr_lists_skip_the_float_loop(self, values):
+        # finite doubles as repr writes them (and as the benchmark passes
+        # --values) are JSON floats, read by orjson alone
+        with mock.patch.object(cli, "_comma_list", side_effect=AssertionError):
+            got = cli._parse_float_list(",".join(map(repr, values)))
+        assert [v.hex() for v in got] == [v.hex() for v in values]
+
+    def test_negative_zero_keeps_its_sign(self):
+        # orjson reads -0 as the int 0; the float() loop keeps the sign
+        assert [v.hex() for v in cli._parse_float_list("-0,1")] == ["-0x0.0p+0", "0x1.0000000000000p+0"]
+        assert cli._parse_float_list("-0.0")[0].hex() == "-0x0.0p+0"
+
+    def test_project_reports_match_on_both_paths(self, tmp_path):
+        # "-0,1" goes through float(), "-0.0,1.0" and "-0e0,1e0" through
+        # orjson; the pinned lines are those the float() loop alone wrote
+        mesh_file = tmp_path / "mesh.json"
+        run("mesh", "uniform", "--n", "1", "-o", str(mesh_file))
+        reports = []
+        for values in "-0,1", "-0.0,1.0", "-0e0,1e0":
+            out = tmp_path / f"{values}.json"
+            assert run("project", "--mesh", str(mesh_file), f"--values={values}",
+                       "-o", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert (b'"nodal_values":[0.5,-0.5000000000000001,1.5000000000000002,0.5],\n'
+                b'"sup_norm":1.5000000000000002,\n') in reports[0]
+
+    def test_large_reports_match_on_both_paths(self, tmp_path):
+        # the same 3,200 doubles read by orjson, and by float() once a leading
+        # "+" keeps the list from being JSON
+        mesh_file = tmp_path / "mesh.json"
+        run("mesh", "uniform", "--n", "40", "-o", str(mesh_file))
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, 3200)
+        text = ",".join(map(repr, values.tolist()))
+        reports = []
+        for arg in text, "+" + text:
+            out = tmp_path / f"{len(reports)}.json"
+            assert run("project", "--mesh", str(mesh_file), f"--values={arg}",
+                       "-o", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -881,6 +882,15 @@ class TestSymmetryOrbits:
         assert symmetry_orbits(mesh, perm.tolist()).n_orbits == 4
         assert symmetry_orbits(mesh, perm.astype(np.int32)).n_orbits == 4
 
+    def test_rejects_numpy_bools_and_scalars(self):
+        # np.True_ reads as 1 and np.False_ as 0, like True and False
+        mesh = build_uniform_square(1)
+        message = "permutations must have one integer entry per vertex"
+        for bad in ([0, np.True_, 2, 3], [np.False_, 1, 2, 3], [[0, 1, 2, 3], [0, 1, np.True_, 3]],
+                    5, 0, np.True_):
+            with pytest.raises(InvalidParameter, match=f"^{message}$"):
+                symmetry_orbits(mesh, bad)
+
     def test_roles_require_labels(self):
         with pytest.raises(MissingLabels):
             vertex_roles(build_uniform_square(2))
@@ -976,6 +986,47 @@ def assert_bit_equal(a, b):
     assert dict(a.labels) == dict(b.labels)
 
 
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("text", [None, '{"dim": 2, "vertices": [[0.0]], "simplices": [[0]]}'],
+                             ids=["good", "malformed"])
+    def test_leaves_the_collector_as_found(self, tmp_path, enabled, text):
+        path = tmp_path / "mesh.json"
+        if text is None:
+            save_mesh(build_uniform_square(4), path)
+        else:
+            path.write_text(text)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if text is None:
+                assert load_mesh(path).n_vertices == 25
+            else:
+                with pytest.raises(InvalidParameter):
+                    load_mesh(path)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_runs_no_collection(self, tmp_path):
+        # orjson makes a list for each of the 19,361 rows of this file
+        save_mesh(build_uniform_square(80), tmp_path / "mesh.json")
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            mesh = load_mesh(tmp_path / "mesh.json")
+        finally:
+            gc.callbacks.remove(count)
+        assert mesh.n_vertices == 6561
+        assert starts == []
+        assert gc.isenabled()
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self):
         mesh = build_counterexample_2d(3, 0.1)
@@ -1034,6 +1085,16 @@ class TestSerialization:
         assert mesh_from_json(text % 1).vertices[1, 0] == 1e23
         with pytest.raises(InvalidParameter):
             mesh_from_json(text % 10**22)
+
+    @pytest.mark.parametrize("vertices, simplices, message", [
+        ("5", "[[0,1]]", "mesh data: vertices do not match the declared dim"),
+        ("true", "[[0,1]]", "mesh data: vertex coordinates must be numbers"),
+        ("[[0],[1]]", "1", "simplices must be a non-empty (m, d+1) array"),
+        ("[[0],[1]]", "false", "mesh data: simplex ids must be integers"),
+    ], ids=["vertices-5", "vertices-true", "simplices-1", "simplices-false"])
+    def test_scalar_arrays_keep_their_messages(self, vertices, simplices, message):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            mesh_from_json(f'{{"dim":1,"vertices":{vertices},"simplices":{simplices}}}')
 
     def test_reads_the_row_layout(self, tmp_path):
         (tmp_path / "mesh.json").write_text(ROW_LAYOUT)
