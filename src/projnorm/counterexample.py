@@ -18,7 +18,7 @@ exhibit the growth.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -279,6 +279,7 @@ def sweep_to_csv(records):
             return ""
         return str(x) if isinstance(x, int) else format(float(x), ".12g")
 
-    lines = [",".join(f.name for f in fields(SweepRecord))]
-    lines += [",".join(map(fmt, astuple(r))) for r in records]
+    names = [f.name for f in fields(SweepRecord)]
+    lines = [",".join(names)]
+    lines += [",".join(fmt(getattr(r, name)) for name in names) for r in records]
     return "\n".join(lines) + "\n"

@@ -9,9 +9,10 @@ brute force over all cellwise sign patterns, the dual functions and the
 inverse-norm bound come from explicit dense inverses, overlapping
 simplex interiors are found by one linear program per pair, hanging nodes
 by a plain loop over every simplex and foreign vertex, vertex stars by a
-scan of the simplex rows, and the projected witness on the shrinking-square
-meshes, determinants, orientation signs and the local conformity certificate
-are computed in exact rational arithmetic.
+scan of the simplex rows, symmetry orbits by a walk along the generators'
+cycles, and the projected witness on the shrinking-square meshes,
+determinants, orientation signs and the local conformity certificate are
+computed in exact rational arithmetic.
 """
 
 import functools
@@ -311,6 +312,30 @@ def hanging_nodes(mesh):
             if 1.0 - lam.sum() >= -_TOUCH_RTOL and (lam >= -_TOUCH_RTOL).all():
                 found.append((s, v))
     return found
+
+
+def permutation_orbits(n, permutations):
+    """Orbits, each ascending, sorted by smallest member, of the group the
+    permutations of range(n) generate: a depth-first walk from each vertex
+    not yet seen, stepping v -> perm[v] for every permutation, which visits
+    whole cycles and so needs no inverse."""
+    orbit_of = [-1] * n
+    orbits = []
+    for start in range(n):
+        if orbit_of[start] >= 0:
+            continue
+        orbit_of[start] = len(orbits)
+        members, stack = [start], [start]
+        while stack:
+            v = stack.pop()
+            for perm in permutations:
+                w = int(perm[v])
+                if orbit_of[w] < 0:
+                    orbit_of[w] = len(orbits)
+                    members.append(w)
+                    stack.append(w)
+        orbits.append(sorted(members))
+    return orbit_of, orbits
 
 
 def random_interval_mesh(rng, max_segments=50, max_ratio=1e6):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -725,10 +726,12 @@ class TestConformity:
                               build_uniform_square(12).simplices)
         assert meshmod._pairwise_violations(tiny) == []
 
-    def test_import_leaves_out_scipy_optimize(self):
+    @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.sparse.csgraph"])
+    def test_import_leaves_out(self, module):
+        # each costs import time and resident memory in every process
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, projnorm; print('scipy.optimize' in sys.modules)"
+        code = f"import sys, projnorm; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
@@ -835,12 +838,69 @@ class TestSymmetryOrbits:
         mesh = build_uniform_square(2)
         orbits = symmetry_orbits(mesh, np.arange(mesh.n_vertices))
         assert orbits.n_orbits == mesh.n_vertices
+        # no generators at all: the trivial group
+        orbits = symmetry_orbits(mesh, np.empty((0, mesh.n_vertices), dtype=np.int64))
+        assert orbits.orbit_of.tolist() == list(range(mesh.n_vertices))
 
     def test_pyramid_generators_pool_apexes(self):
         mesh = build_pyramid_partition(1, 0.3, 4)
         orbits = symmetry_orbits(mesh, symmetry_generators(mesh))
         assert sorted(len(o) for o in orbits.orbits) == [1, 2, 4, 4]
         assert orbits.n_orbits == 1 + 3  # J + 3
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 40), st.integers(0, 2), st.sampled_from(["shuffled", "rising", "falling"]),
+           st.integers(0, 2**32 - 1))
+    def test_orbits_match_a_cycle_walk_on_triangle_soups(self, T, extra, order, seed):
+        # generators move whole triangles, each onto its image with its
+        # corners in a random order: one cycle through all T triangles, with
+        # ids in the given order along it, up to two random block
+        # permutations, and the identity, in a shuffled list
+        rng = np.random.default_rng(seed)
+        mesh = simplex_soup(2, rng, T)
+
+        def block(onto):
+            corners = np.array([rng.permutation(3) for _ in range(T)])
+            return (3 * onto[:, None] + corners).ravel()
+
+        path = {"shuffled": rng.permutation(T), "rising": np.arange(T),
+                "falling": np.arange(T)[::-1]}[order]
+        cycle = np.empty(T, dtype=np.int64)
+        cycle[path] = np.roll(path, -1)
+        generators = [block(cycle), np.arange(3 * T)]
+        generators += [block(rng.permutation(T)) for _ in range(extra)]
+        generators = [generators[k] for k in rng.permutation(len(generators))]
+        orbit_of, orbits = oracles.permutation_orbits(3 * T, generators)
+        got = symmetry_orbits(mesh, generators)
+        assert got.orbit_of.tolist() == orbit_of
+        assert [o.tolist() for o in got.orbits] == orbits
+
+    @pytest.mark.parametrize("shape", ["falling-cycle", "shuffled-path"])
+    def test_long_orbits_take_few_rounds(self, shape):
+        # 30,000 triangles in one orbit: a 30,000-cycle whose ids fall along
+        # it, or a path of two involutions through the triangles in shuffled
+        # order.  Pushing labels along the generators and then jumping
+        # (label[label]) without hooking roots takes 30,000 and 16,551
+        # rounds on these, root hooking 8 and 11.
+        T = 30000
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        vertices = (corners + 2.0 * np.arange(T)[:, None, None]).reshape(-1, 2)
+        mesh = SimplicialMesh(vertices, np.arange(3 * T).reshape(T, 3))
+        if shape == "falling-cycle":
+            generators = [(np.arange(3 * T) - 3) % (3 * T)]
+        else:
+            path = np.random.default_rng(7).permutation(T)
+            generators = []
+            for first in (0, 1):
+                pairs = path[first:first + (T - first) // 2 * 2].reshape(-1, 2)
+                onto = np.arange(T)
+                onto[pairs[:, 0]], onto[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+                generators.append((3 * onto[:, None] + np.arange(3)).ravel())
+        start = time.perf_counter()
+        orbits = symmetry_orbits(mesh, generators)
+        elapsed = time.perf_counter() - start
+        assert orbits.orbit_of.tolist() == [0, 1, 2] * T
+        assert elapsed < 5.0
 
     def test_rotation_is_a_symmetry(self):
         mesh = build_counterexample_2d(3, 0.2)
@@ -918,6 +978,13 @@ class TestSymmetryOrbits:
                   for v, lab in mesh.labels.items()}
         mesh = SimplicialMesh(mesh.vertices, mesh.simplices, labels)
         with pytest.raises(MissingLabels, match="ring 1 has no vertex labeled corner 2"):
+            entry(mesh)
+        # rings 1 and 2 both lack corner 2, and ring 2's corner 1 has moved to
+        # vertex 1, below ring 1's corner 1 (vertex 4): the first corner in
+        # id order whose image is missing is named, not the first in ring order
+        labels = {**labels, 1: "ring 2 corner 1", 8: "ring 0 corner 2", 9: "apex 4"}
+        mesh = SimplicialMesh(mesh.vertices, mesh.simplices, labels)
+        with pytest.raises(MissingLabels, match="^ring 2 has no vertex labeled corner 2$"):
             entry(mesh)
 
 
