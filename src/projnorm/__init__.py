@@ -51,7 +51,6 @@ from .projection import (
     project,
     proposition1_check,
     solve_with_load,
-    spline_abs_integral,
 )
 from .counterexample import (
     LimitSystem,

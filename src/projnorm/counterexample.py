@@ -9,9 +9,9 @@ system whose solution has sup norm 2J+1.  The pyramid joins converge to the
 same system plus one apex unknown, coupled to every row by (d-2)/2, so the 2D
 limit is the pyramid limit at d = 2.  The reduced system also has a
 closed-form ring stencil at every t >= 0, written from the ring areas
-without building a mesh: convergence_study (`reproduce --limit`) solves it,
-the limit systems are its t = 0 rows, and reduced_ring_system(mesh), the
-reduction derived from a labeled mesh, is what checks it.  This module
+without building a mesh: growth_sweep and convergence_study (`reproduce`)
+solve it, the limit systems are its t = 0 rows, and reduced_ring_system(mesh),
+the reduction derived from a labeled mesh, is what checks it.  This module
 builds the reductions, the limit systems and the parameter sweeps that
 exhibit the growth.
 """
@@ -22,22 +22,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidParameter, NotEquivariant
+from .errors import InvalidParameter, NotEquivariant, SolveFailure
 from .mesh import (
     build_counterexample_2d,
     build_pyramid_partition,
     check_integer,
+    check_pyramid_dimension,
     check_ring_parameters,
     symmetry_generators,
     symmetry_orbits,
 )
 from .projection import (
+    RESIDUAL_RTOL,
     CellwiseConstant,
-    SplineFunction,
-    _mass_solver,
-    _operator_norm,
-    assemble_load,
-    assemble_mass,
+    exact_operator_norm,
     normalized_system,
 )
 
@@ -65,7 +63,14 @@ class LimitSystem:
     rhs: np.ndarray
 
     def solve(self):
-        return np.linalg.solve(self.matrix, self.rhs)
+        """x, or SolveFailure if ||matrix @ x - rhs||_inf / ||rhs||_inf > RESIDUAL_RTOL."""
+        x = np.linalg.solve(self.matrix, self.rhs)
+        residual = float(np.abs(self.matrix @ x - self.rhs).max()
+                         / (np.abs(self.rhs).max() or 1.0))
+        if not residual <= RESIDUAL_RTOL:  # a NaN residual fails too
+            raise SolveFailure(f"ring system solve left normalized residual {residual:.3e} "
+                               f"(allowed {RESIDUAL_RTOL:.0e})", residual=residual)
+        return x
 
 
 @dataclass(frozen=True)
@@ -238,35 +243,32 @@ def convergence_study(J, t_list):
 
 
 def growth_sweep(J_list, t, d=2, with_norms=False):
-    """Project the oscillating witness for each J and record the sup norms.
+    """Sup norm of the projected oscillating witness for each J.
 
-    With with_norms=True the exact operator norm and the inverse-based bound
-    are recorded as well (slower: every dual function of each mesh is solved
-    for).  Each mesh's mass matrix is assembled and factored once, for the
-    projection and the norm.  Every J is checked against the underflow
-    guard, in order, before the first projection; a range is never listed,
-    any other iterable is read once into a list.
+    The sup norm is the largest entry of the ring stencil's solution
+    _ring_system(J, t, d), so no mesh is built for it.  With with_norms=True
+    the mesh is built and exact_operator_norm records the exact operator norm
+    and the inverse-based bound (slower: every dual function is solved for).
+    Every J is checked against the underflow guard, in order, and then a
+    pyramid's d, before the first row; a range is never listed, any other
+    iterable is read once into a list.
     """
     if d < 2:
         raise InvalidParameter(f"growth sweeps are defined for d >= 2, got {d!r}")
     J_list = J_list if isinstance(J_list, range) else list(J_list)
     for J in J_list:
         check_ring_parameters(int(J), t)
+    if d != 2:
+        check_pyramid_dimension(d)
     return [_sweep_record(int(J), float(t), d, with_norms) for J in J_list]
 
 
 def _sweep_record(J, t, d, with_norms):
-    """One growth_sweep record; its factorization is freed when it returns."""
-    if d == 2:
-        mesh = build_counterexample_2d(J, t)
-    else:
-        mesh = build_pyramid_partition(J, t, d)
-    M = assemble_mass(mesh)
-    solve = _mass_solver(M)
-    g = SplineFunction(solve(assemble_load(mesh, oscillating_data(mesh)))[0])
-    rec = SweepRecord(J=J, t=t, d=d, sup_norm=g.sup_norm)
+    x = _ring_system(J, t, d).solve()
+    rec = SweepRecord(J=J, t=t, d=d, sup_norm=float(np.abs(x).max()))
     if with_norms:
-        rec.exact_operator_norm, _, rec.ainv_bound = _operator_norm(mesh, M, solve)
+        mesh = build_counterexample_2d(J, t) if d == 2 else build_pyramid_partition(J, t, d)
+        rec.exact_operator_norm, _, rec.ainv_bound = exact_operator_norm(mesh)
     return rec
 
 

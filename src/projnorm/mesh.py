@@ -230,6 +230,15 @@ def check_ring_parameters(J, t):
     return t
 
 
+def check_pyramid_dimension(d):
+    """Validate the dimension d of a pyramid join before anything is allocated."""
+    check_integer(d, 3, f"pyramid partitions need d >= 3, got {d!r}")
+    # a simplex has volume 2A/d! on a base triangle of area A <= 2: refuse
+    # once even 4/d! is degenerate (d >= 168)
+    if math.log(4.0) - math.lgamma(d + 1) <= math.log(VOLUME_EPSILON):
+        raise DegenerateSimplex(f"d={d} gives simplex volumes <= 4/d! <= {VOLUME_EPSILON:.0e}")
+
+
 def build_counterexample_2d(J, t):
     """Triangulate [-1,1]^2 along J+1 shrinking concentric squares.
 
@@ -276,11 +285,7 @@ def build_pyramid_partition(J, t, d):
     form one d-simplex, so the simplex count equals the triangle count.  Apex
     vertices are labeled "apex {m}" (m = 3..d).
     """
-    check_integer(d, 3, f"pyramid partitions need d >= 3, got {d!r}")
-    # a simplex has volume 2A/d! on a base triangle of area A <= 2: refuse
-    # before allocating once even 4/d! is degenerate (d >= 168)
-    if math.log(4.0) - math.lgamma(d + 1) <= math.log(VOLUME_EPSILON):
-        raise DegenerateSimplex(f"d={d} gives simplex volumes <= 4/d! <= {VOLUME_EPSILON:.0e}")
+    check_pyramid_dimension(d)
     base = build_counterexample_2d(J, t)
     n_base = base.n_vertices
     vertices = np.zeros((n_base + d - 2, d))

@@ -380,12 +380,6 @@ def _abs_integrals(mesh, rows):
     return totals
 
 
-def spline_abs_integral(mesh, nodal_values):
-    """Exact integral of |g| for the spline with the given vertex values."""
-    nodal = _vector_of_length(nodal_values, mesh.n_vertices, "nodal value per vertex")
-    return float(_abs_integrals(mesh, nodal[None, :])[0])
-
-
 class OperatorNorm(NamedTuple):
     norm: float
     witness: int
@@ -410,11 +404,7 @@ def exact_operator_norm(mesh):
     A^{-1} = M^{-1} D.
     """
     M = assemble_mass(mesh)
-    return _operator_norm(mesh, M, _mass_solver(M))
-
-
-def _operator_norm(mesh, M, solve):
-    """exact_operator_norm for the mass matrix M of mesh and solve = _mass_solver(M)."""
+    solve = _mass_solver(M)
     n = mesh.n_vertices
     step = max(1, _BLOCK_VALUES // mesh.simplices.size)
     diag = M.diagonal()

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from projnorm import build_counterexample_2d
+from projnorm import build_counterexample_2d, build_pyramid_partition
 from projnorm.mesh import _TOUCH_RTOL
 
 
@@ -195,43 +195,56 @@ def dense_dual_basis(M):
     return np.linalg.inv(M.toarray())
 
 
-def rational_ring_witness(J, t):
-    """Exact ring values of the projected ring-alternating data on cx(J, t).
+def rational_ring_witness(J, t, d=2):
+    """Exact orbit values of the projected ring-alternating data on cx(J, t)
+    (d = 2) or on its pyramid join (d >= 3).
 
-    t is a Fraction.  Only the connectivity and the ring labels come from
-    build_counterexample_2d(J, float(t)): the vertices of ring j are the
-    exact points (+-t^j, +-t^j), the center is the origin, and a triangle
-    carries the data (-1)^r, r the largest ring among its vertices with the
-    center counting as ring J + 1.  M and F are assembled in Fractions in
-    closed form (area / 12 times 1 + delta, and area / 3 per vertex), the
-    columns of each ring are summed, and the rows of one ring, which must
-    agree exactly, give one equation of the (J+2)-unknown system, solved by
-    Gauss-Jordan elimination.  Returns the J + 2 values, ring 0 first and the
-    center last.
+    t is a Fraction.  Only the connectivity and the vertex labels come from
+    build_counterexample_2d(J, float(t)) or build_pyramid_partition(J,
+    float(t), d): the vertices of ring j are the exact points (+-t^j, +-t^j),
+    the center is the origin, and the apexes are the exact points e_3..e_d.
+    A simplex carries the data (-1)^r, r the largest ring among its base
+    triangle's vertices with the center counting as ring J + 1, and has
+    volume V = 2 area / d!, area that of its base triangle.  M and F are
+    assembled in Fractions in closed form (V (1 + delta) / ((d+1)(d+2)), and
+    V / (d+1) per vertex), the columns of each orbit are summed, every apex
+    in one orbit, and the rows of one orbit, which must agree exactly, give
+    one equation of the (J+2)-unknown system ((J+3) for a join), solved by
+    Gauss-Jordan elimination.  Returns the values, ring 0 first, then the
+    center and, for a join, the apexes.
     """
-    mesh = build_counterexample_2d(J, float(t))
+    if d == 2:
+        mesh = build_counterexample_2d(J, float(t))
+    else:
+        mesh = build_pyramid_partition(J, float(t), d)
     ring, points = [], []
-    for v, (x, y) in enumerate(mesh.vertices):
+    for v, (x, y) in enumerate(mesh.vertices[:, :2]):
         label = mesh.labels[v]
+        if label.startswith("apex"):  # e_m: off the plane, one orbit
+            ring.append(J + 2)
+            points.append(None)
+            continue
         j = J + 1 if label == "center" else int(label.split()[1])
         scale = Fraction(0) if label == "center" else t**j
         ring.append(j)
         points.append((int(np.sign(x)) * scale, int(np.sign(y)) * scale))
-    k = J + 2
-    # row P: sum over ring r of M[P, Q] for Q in ring r, then F[P]
+    k = J + 2 + (d > 2)
+    # row P: sum over orbit r of M[P, Q] for Q in orbit r, then F[P]
     rows = [[Fraction(0)] * (k + 1) for _ in mesh.vertices]
-    for tri in mesh.simplices.tolist():
+    for simplex in mesh.simplices.tolist():
+        tri = simplex[:3]  # the base triangle; the apexes follow it
         (x0, y0), (x1, y1), (x2, y2) = (points[v] for v in tri)
         area = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
+        volume = 2 * area / math.factorial(d)
         sign = 1 if max(ring[v] for v in tri) % 2 == 0 else -1
-        for p in tri:
-            rows[p][k] += sign * area / 3
-            for q in tri:
-                rows[p][ring[q]] += area / 12 * (2 if p == q else 1)
+        for p in simplex:
+            rows[p][k] += sign * volume / (d + 1)
+            for q in simplex:
+                rows[p][ring[q]] += volume / ((d + 1) * (d + 2)) * (2 if p == q else 1)
     system = {}
     for p, row in enumerate(rows):
         if system.setdefault(ring[p], row) != row:
-            raise AssertionError(f"the rows of ring {ring[p]} differ")
+            raise AssertionError(f"the rows of orbit {ring[p]} differ")
     A = [system[r] for r in range(k)]
     for c in range(k):
         pivot = next(r for r in range(c, k) if A[r][c] != 0)

@@ -82,8 +82,13 @@ class TestMeshCommand:
                    "-o", str(out)) == 2
         assert not out.exists()
 
-    def test_huge_d_exits_2(self, tmp_path, capsys):
-        # refused before numpy is asked for a vertex array this large
+    def test_huge_d_exits_2(self, tmp_path, capsys, monkeypatch):
+        # refused before numpy is asked for a vertex array this large, and
+        # the sweep before its first row
+        def ring_system(*args):
+            raise AssertionError("a row was computed before d was checked")
+
+        monkeypatch.setattr(counterexample, "_ring_system", ring_system)
         out = tmp_path / "mesh.json"
         assert run("mesh", "pyramid", "--J", "1", "--t", "0.5", "--d", "1000000000",
                    "-o", str(out)) == 2
@@ -486,10 +491,10 @@ class TestReproduceCommand:
     def test_empty_J_exits_2(self, tmp_path, capsys, monkeypatch, argv, message):
         # an empty sweep would pass the theorem or limit check without a single
         # row; a repeated t made the limit check fail on two equal errors
-        def build(*args):
-            raise AssertionError("a mesh was built before the sweep was refused")
+        def ring_system(*args):
+            raise AssertionError("a row was computed before the sweep was refused")
 
-        monkeypatch.setattr(counterexample, "build_counterexample_2d", build)
+        monkeypatch.setattr(counterexample, "_ring_system", ring_system)
         out = tmp_path / "s.csv"
         with pytest.raises(SystemExit) as caught:
             run("reproduce", *argv, "-o", str(out))
@@ -498,11 +503,11 @@ class TestReproduceCommand:
         assert not out.exists()
 
     def test_huge_J_range_stops_at_the_underflow_guard(self, tmp_path, capsys, monkeypatch):
-        # the range stays lazy and J = 63 is refused before any J is projected
-        def assemble_mass(*args):
-            raise AssertionError("projected before the underflow guard refused J=63")
+        # the range stays lazy and J = 63 is refused before any row is computed
+        def ring_system(*args):
+            raise AssertionError("a row was computed before the underflow guard refused J=63")
 
-        monkeypatch.setattr(counterexample, "assemble_mass", assemble_mass)
+        monkeypatch.setattr(counterexample, "_ring_system", ring_system)
         assert run("reproduce", "--theorem", "--J", "1..1000000000000", "--t", "0.01",
                    "-o", str(tmp_path / "s.csv")) == 2
         assert "J=63, t=0.01" in capsys.readouterr().err
@@ -530,14 +535,34 @@ class TestReproduceCommand:
 
     def test_pyramid_refuses_d_below_3(self, tmp_path, capsys, monkeypatch):
         # d = 2 would sweep the 2D family under the pyramid's name
-        def assemble_mass(*args):
-            raise AssertionError("projected before d was checked")
+        def ring_system(*args):
+            raise AssertionError("a row was computed before d was checked")
 
-        monkeypatch.setattr(counterexample, "assemble_mass", assemble_mass)
+        monkeypatch.setattr(counterexample, "_ring_system", ring_system)
         out = tmp_path / "s.csv"
         assert run("reproduce", "--pyramid", "--J", "2..4", "--t", "0.01",
                    "--d", "2", "-o", str(out)) == 2
         assert "pyramid partitions need d >= 3, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("--theorem", "--J", "1..3", "--t", "0.1"),
+                                      ("--limit", "--J", "2", "--t", "0.2,0.1")],
+                             ids=["theorem", "limit"])
+    def test_stencil_residual_gate_failure_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                   argv):
+        # a ring stencil solve off by 1e-6 on the last row is refused, not written
+        solve = np.linalg.solve
+
+        def perturbed(A, b):
+            x = solve(A, b)
+            x[-1] += 1e-6
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        out = tmp_path / "s.csv"
+        assert run("reproduce", *argv, "-o", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ring system solve left normalized residual")
         assert not out.exists()
 
     def test_pyramid_single_J_exits_4(self, tmp_path):

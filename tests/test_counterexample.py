@@ -381,8 +381,10 @@ class TestSweeps:
             assert r.sup_norm <= r.exact_operator_norm + 1e-9
             assert r.exact_operator_norm <= r.ainv_bound + 1e-9
 
-    def test_one_factorization_per_mesh(self, monkeypatch):
-        # the sweep projects and takes the norm with one factored mass matrix
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_factorization_per_mesh(self, monkeypatch, d):
+        # a sweep with norms builds, assembles and factors each mesh once, for
+        # the norm; without norms it builds no mesh at all
         calls = Counter()
 
         def counted(name, fn):
@@ -391,15 +393,35 @@ class TestSweeps:
                 return fn(*args, **kwargs)
             return wrapper
 
-        assemble = counted("assemble_mass", projection.assemble_mass)
-        monkeypatch.setattr(projection, "assemble_mass", assemble)
-        monkeypatch.setattr(counterexample, "assemble_mass", assemble)
-        monkeypatch.setattr(projection, "splu", counted("splu", projection.splu))
-        growth_sweep([3, 4], 0.01, with_norms=True)
-        assert calls == {"assemble_mass": 2, "splu": 2}
+        for module, name in ((counterexample, "build_counterexample_2d"),
+                             (counterexample, "build_pyramid_partition"),
+                             (meshmod, "build_counterexample_2d"),
+                             (projection, "assemble_mass"),
+                             (projection, "splu")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        # the pyramid builder builds its base through the mesh module's binding
+        built = ({"build_counterexample_2d": 2} if d == 2 else
+                 {"build_pyramid_partition": 2, "build_counterexample_2d": 2})
+        growth_sweep([3, 4], 0.01, d=d, with_norms=True)
+        assert calls == {**built, "assemble_mass": 2, "splu": 2}
         calls.clear()
+        growth_sweep([3, 4], 0.01, d=d)
+        assert calls == {}
         exact_operator_norm(build_counterexample_2d(3, 0.01))
         assert calls == {"assemble_mass": 1, "splu": 1}
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("t", [1 / 2, 1 / 10, 1 / 100])
+    def test_sweep_matches_exact_witness_and_mesh_projection(self, t, d):
+        # the stencil's sup norm against the exact rational solve of the
+        # built family and against the float projection on the built mesh
+        Js = [1, 2, 4, 6]
+        for r, J in zip(growth_sweep(Js, t, d=d), Js):
+            exact = oracles.rational_ring_witness(J, Fraction(t), d)
+            assert abs(r.sup_norm - float(max(map(abs, exact)))) <= 1e-14 * (2 * J + 1)
+            mesh = build_counterexample_2d(J, t) if d == 2 else build_pyramid_partition(J, t, d)
+            sup = project(mesh, oscillating_data(mesh)).sup_norm
+            assert r.sup_norm == pytest.approx(sup, rel=1e-13)
 
     def test_growth_sweep_pyramid_increases(self):
         records = growth_sweep(range(2, 7), 0.01, d=3)

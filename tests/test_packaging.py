@@ -25,3 +25,24 @@ def test_third_party_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - {"projnorm"}
     assert "numpy" in third_party
     assert third_party <= declared, f"undeclared: {sorted(third_party - declared)}"
+
+
+def test_modules_use_no_private_name_of_a_sibling():
+    # a module that needs another's underscore name is sharing a duplicate
+    # path; the public function is the one way in
+    found = []
+    for path in (ROOT / "src" / "projnorm").rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module is None:  # from . import x as alias
+                    siblings.update(alias.asname or alias.name for alias in node.names)
+                else:
+                    found += [f"{path.name}: from .{node.module} import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in siblings):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert not found, found
