@@ -27,6 +27,7 @@ from .mesh import (
     build_counterexample_2d,
     build_pyramid_partition,
     check_integer,
+    check_mesh_dimension,
     check_pyramid_dimension,
     check_ring_parameters,
     symmetry_generators,
@@ -249,9 +250,10 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
     _ring_system(J, t, d), so no mesh is built for it.  With with_norms=True
     the mesh is built and exact_operator_norm records the exact operator norm
     and the inverse-based bound (slower: every dual function is solved for).
-    Every J is checked against the underflow guard, in order, and then a
-    pyramid's d, before the first row; a range is never listed, any other
-    iterable is read once into a list.
+    Every J is checked against the underflow guard, in order, then a
+    pyramid's d, and with norms the mesh dimension guard, before the first
+    row; a range is never listed, any other iterable is read once into a
+    list.
     """
     if d < 2:
         raise InvalidParameter(f"growth sweeps are defined for d >= 2, got {d!r}")
@@ -260,6 +262,8 @@ def growth_sweep(J_list, t, d=2, with_norms=False):
         check_ring_parameters(int(J), t)
     if d != 2:
         check_pyramid_dimension(d)
+    if with_norms:
+        check_mesh_dimension(d)
     return [_sweep_record(int(J), float(t), d, with_norms) for J in J_list]
 
 

@@ -11,27 +11,28 @@ the apex swaps, or MissingLabels) the module provides the partition families
 used throughout the package.  One kernel, _facets, gives each simplex its
 facet normals n_i and heights h_i = n_i . (p_i - f_i), f_i the first vertex of
 the facet opposite p_i: the volume is |h_0| / d!, and n_i . (x - f_i) / h_i is
-the barycentric coordinate i of x.  Conformity validation first tries a
-certificate in O(m) small kernels plus one vertices x boundary-facets
-product: every facet has at most two owners, on strictly opposite sides of
-it; every facet with one owner supports the vertex set; and the centroid of
-the largest simplex lies in that simplex only.  The number of simplices
-covering a point then cannot change across any facet inside the convex hull,
-so it is 1 everywhere: the certificate is sound on any mesh, and it holds on
-every conforming mesh of a convex domain, which every family below is.  On
-a refusal (a non-conforming mesh, or a conforming one of a non-convex or
-disconnected domain) the violations come from an all-pairs pass: it counts
-face owners and makes one blocked pass over widened simplex bounding boxes
-for candidate pairs.  The pairs yield the hanging nodes, by those
-coordinates, the folds, by the side of the shared face a lone vertex lies
-on, and, for pairs sharing s < d vertices, an exact separating-hyperplane
-test.  Such a hyperplane contains the shared face, so pairs with s >= 1
-try only the C(2(d+1-s), d-s) normals through it (15 or 4 in 3D), and
-vertex-disjoint pairs every facet normal of P - Q (44 in 3D, 862 in 5D).
-The facet normals of P and Q go first (6 of 15, or 8 of 44, in 3D); the rest
-are tried only on the pairs those leave unseparated.  Normals are exterior
-products of edges, over pairs held coordinate-major, and no LAPACK routine
-is called.  The families are:
+the barycentric coordinate i of x.  Conformity validation builds one facet
+table, the facets grouped by vertex set and _facets of every one, which
+both of its passes read.  It first tries a certificate in O(m) small
+kernels plus one vertices x boundary-facets product: every facet has at
+most two owners, on strictly opposite sides of it; every facet with one
+owner supports the vertex set; and the centroid of the largest simplex
+lies in that simplex only.  The number of simplices covering a point then
+cannot change across any facet inside the convex hull, so it is 1
+everywhere: the certificate is sound on any mesh, and it holds on every
+conforming mesh of a convex domain, which every family below is.  On a
+refusal (a non-conforming mesh, or a conforming one of a non-convex or
+disconnected domain) the violations come from an all-pairs pass: it reads
+the over-shared facets from the table and makes one blocked pass over
+widened simplex bounding boxes for candidate pairs.  The pairs yield the
+hanging nodes, by those coordinates, the folds, by the signs of the lone
+vertices' heights over the shared facet, and, for pairs sharing s < d
+vertices, an exact separating-hyperplane test.  Such a hyperplane contains
+the shared face, so pairs with s >= 1 try only the C(2(d+1-s), d-s)
+normals through it (15 or 4 in 3D), and vertex-disjoint pairs every facet
+normal of P - Q (44 in 3D, 862 in 5D), all in one pass.  Normals are
+exterior products of edges, over pairs held coordinate-major, and no
+LAPACK routine is called.  The families are:
 
 * ``build_counterexample_2d`` -- a square triangulated along a geometric
   sequence of shrinking concentric squares ("rings"),
@@ -79,6 +80,9 @@ _CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
 # Constructor label of corner i (1..4) of ring j; the bounded ring index
 # always fits the int64 ring array.
 _CORNER_LABEL = re.compile(r"\s*ring\s+(\d{1,9})\s+corner\s+([1-4])\s*")
+
+# Largest mesh dimension; see check_mesh_dimension.
+_MAX_MESH_DIM = 12
 
 # Conformity slack: boxes, barycentric coordinates and separating gaps within
 # this fraction of the simplex's (or the pair's) extent count as touching.
@@ -151,6 +155,7 @@ class SimplicialMesh:
             if not isinstance(label, str) or re.search("[\ud800-\udfff]", label):
                 raise InvalidParameter(f"label of vertex {k} is not a UTF-8 string: {label!r}")
 
+        check_mesh_dimension(d)
         vols = _volumes(vertices, simplices)
         if (vols <= VOLUME_EPSILON).any():
             bad = int(np.argmin(vols))
@@ -228,6 +233,17 @@ def check_ring_parameters(J, t):
             f"J={J}, t={t} would produce simplex volumes below {_UNDERFLOW_LIMIT:.0e}"
         )
     return t
+
+
+def check_mesh_dimension(d):
+    """Raise UnsupportedDimension above _MAX_MESH_DIM, before the facet
+    kernel (_cross) runs: it expands every minor, about 2.2x the cost per
+    dimension.  On a 2-vCPU machine the d = 12 join of cx(40, 0.5) took
+    0.13 s to build and 0.45 s to validate, peaking at 125 MB; d = 13 took
+    0.32 s, 1.1 s and 188 MB, so d = 20 would take minutes."""
+    if d > _MAX_MESH_DIM:
+        raise UnsupportedDimension(
+            f"d={d} is above {_MAX_MESH_DIM}, the largest mesh dimension supported")
 
 
 def check_pyramid_dimension(d):
@@ -377,42 +393,36 @@ def _row_blocks(n_rows, row_size):
 
 
 def _candidate_edges(d, s):
-    """Tail and head indices of the d-1 edges spanning each candidate normal,
-    and the number of leading candidates that are facet normals of P or Q.
+    """Tail and head indices of the d-1 edges spanning each candidate normal.
 
     Indices refer to the 2(d+1) stacked vertices of a pair, P's then Q's.
     For pairs sharing s >= 1 vertices, stacked shared-first in the same order
     in both simplices, a separating hyperplane contains the shared face, so
     every candidate joins shared vertex 0 to the s-1 other shared vertices and
     to d-s of the 2(d+1-s) non-shared vertices of either simplex:
-    C(2(d+1-s), d-s) candidates (15 or 4 in 3D and on 5D pyramid pairs).  The
-    2(d+1-s) whose d-s vertices all lie in one simplex, the facets of P and Q
-    through the shared face, come first.  For s = 0 and a = 0..d-1, a
-    candidate joins the a edges of an a-face of P at its first vertex with the
-    d-1-a edges of a (d-1-a)-face of Q, so every facet normal of P - Q is
-    among the cross products (44 in 3D, 862 in 5D).  The facets of P (a = d-1)
-    and of Q (a = 0) come first: 2(d+1) of them, or the one candidate in 1D.
+    C(2(d+1-s), d-s) candidates (15 or 4 in 3D and on 5D pyramid pairs).  For
+    s = 0 and a = 0..d-1, a candidate joins the a edges of an a-face of P at
+    its first vertex with the d-1-a edges of a (d-1-a)-face of Q, so every
+    facet normal of P - Q is among the cross products (44 in 3D, 862 in 5D,
+    the one candidate in 1D).  Candidates come in combination order.
     """
     tails, heads = [], []
     if s:
         loose = [*range(s, d + 1), *range(d + 1 + s, 2 * d + 2)]
-        # a combination is mixed when it takes vertices of both P and Q
-        for rest in sorted(itertools.combinations(loose, d - s), key=lambda r: r[0] <= d < r[-1]):
+        for rest in itertools.combinations(loose, d - s):
             tails.append([0] * (d - 1))
             heads.append([*range(1, s), *rest])
-        facets = 2 * (d + 1 - s)
     else:
-        for a in dict.fromkeys([d - 1, 0, *range(1, d - 1)]):
+        for a in range(d):
             p_faces = itertools.combinations(range(d + 1), a + 1) if a else [(0,)]
             q_faces = (itertools.combinations(range(d + 1, 2 * d + 2), d - a)
                        if a < d - 1 else [(d + 1,)])
             for fp, fq in itertools.product(p_faces, q_faces):
                 tails.append([fp[0]] * a + [fq[0]] * (d - 1 - a))
                 heads.append(list(fp[1:]) + list(fq[1:]))
-        facets = min(len(tails), 2 * (d + 1))
     shape = (len(tails), d - 1)
     return (np.array(tails, dtype=np.intp).reshape(shape),
-            np.array(heads, dtype=np.intp).reshape(shape), facets)
+            np.array(heads, dtype=np.intp).reshape(shape))
 
 
 def _cross(E):
@@ -475,46 +485,35 @@ def _unseparated(P, Q, tails, heads):
     return overlap
 
 
-def _interiors_overlap(P, Q, s):
-    """Which simplex pairs (P[k], Q[k]), each (K, d+1, d), share interior points.
+def _facet_table(mesh):
+    """The facet facts both conformity passes read, as one tuple
+    (ids, faces, order, starts, owners, normals, firsts, heights).
 
-    Two simplices have disjoint interiors iff some hyperplane weakly separates
-    their vertex sets, and it suffices to try the facet normals of P - Q: the
-    generalized cross products of _candidate_edges.  When every pair shares
-    its first s vertices, in the same order in P and Q, any such hyperplane
-    contains the shared face: its normal is a facet normal of the cone spanned
-    at shared vertex 0 by P's other vertices and Q's negated, so only the
-    shared-face candidates of _candidate_edges(d, s) are tried.  A first pass
-    tries the facet normals of P and Q, which separate most disjoint pairs; a
-    second tries the other candidates on the pairs the first left
-    unseparated.  A pair overlaps when no candidate separates it, so the
-    verdicts are those of one pass over every candidate.  In 1D and 2D, and
-    for s = d-1, every candidate is a facet normal and one pass is made.
+    ids are the simplex rows by ascending vertex id.  Facet c*m + s is the
+    facet of simplex s opposite its c-th smallest vertex id; faces lists
+    them sorted, order[k] is the facet at faces[k], and the vertex set
+    faces[starts[g]] is the facet of owners[g] simplices.  normals, firsts
+    and heights are _facets of every facet, shapes (d, d+1, m), (d, d+1, m)
+    and (d+1, m): both owners of a facet take its normal n and first vertex
+    f from the same points in the same order, and h = n . (p - f) is the
+    signed height of the opposite vertex p.
     """
-    tails, heads, facets = _candidate_edges(P.shape[2], s)
-    overlap = _unseparated(P, Q, tails[:facets], heads[:facets])
-    k = np.flatnonzero(overlap)
-    if facets < len(tails) and k.size:
-        overlap[k] = _unseparated(P[k], Q[k], tails[facets:], heads[facets:])
-    return overlap
+    d = mesh.dim
+    ids = np.sort(mesh.simplices, axis=1)
+    keep = [[x for x in range(d + 1) if x != c] for c in range(d + 1)]
+    faces = ids[:, keep].transpose(1, 0, 2).reshape(-1, d)
+    order = np.lexsort(faces.T[::-1])
+    faces = faces[order]
+    starts = np.flatnonzero(np.r_[True, (faces[1:] != faces[:-1]).any(axis=1)])
+    owners = np.diff(np.r_[starts, len(faces)])
+    return (ids, faces, order, starts, owners,
+            *_facets(mesh.vertices[ids].transpose(2, 1, 0), range(d + 1)))
 
 
-def _faces(ids):
-    """The facets of the simplices ids (m, d+1): row c*m + s is simplex s
-    without its column c, the other columns kept in order."""
-    k = ids.shape[1]
-    table = [[x for x in range(k) if x != c] for c in range(k)]
-    return ids[:, table].transpose(1, 0, 2).reshape(-1, k - 1)
-
-
-def _certify_conformity(mesh):
+def _certify_conformity(mesh, table):
     """True when local facts prove the mesh a face-to-face partition of a
-    convex domain; False (a refusal, not a verdict) otherwise.
-
-    Facet c*m + s is the facet of simplex s opposite its c-th smallest
-    vertex id, so both owners of a facet take its normal n and first vertex
-    f from _facets over the same points in the same order, and
-    h = n . (p - f) is the signed height of the opposite vertex p.
+    convex domain; False (a refusal, not a verdict) otherwise.  table is
+    _facet_table(mesh).
 
     1. No facet has more than 2 owners.
     2. The two owners of a facet lie strictly on opposite sides of it: their
@@ -534,16 +533,10 @@ def _certify_conformity(mesh):
     """
     d = mesh.dim
     verts = mesh.vertices
-    ids = np.sort(mesh.simplices, axis=1)
-    faces = _faces(ids)
-    order = np.lexsort(faces.T[::-1])
-    faces = faces[order]
-    starts = np.flatnonzero(np.r_[True, (faces[1:] != faces[:-1]).any(axis=1)])
-    owners = np.diff(np.r_[starts, len(faces)])
+    _, _, order, starts, owners, normals, firsts, heights = table
     if (owners > 2).any():
         return False
 
-    normals, firsts, heights = _facets(verts[ids].transpose(2, 1, 0), range(d + 1))
     sign = np.sign(heights)
     twin = starts[owners == 2]
     if (sign.ravel()[order[twin]] * sign.ravel()[order[twin + 1]] >= 0).any():
@@ -573,51 +566,50 @@ def validate_conformity(mesh):
     """Check that the mesh is a face-to-face partition.
 
     Returns a list of human-readable violations (empty for a conforming
-    mesh).  A mesh that _certify_conformity certifies has none, and no pair
-    of simplices is compared.  The certificate is sound on every mesh: its
-    facet tests keep the number of simplices over a point constant across
-    the convex hull of the vertices, and its centroid test makes it 1.  It
-    holds on conforming meshes of convex domains, as every constructor here
-    builds, and refuses the rest, conforming or not, without a message of
-    its own: then the all-pairs pass of _pairwise_violations gives the list.
+    mesh).  One facet table (_facet_table) feeds both passes.  A mesh that
+    _certify_conformity certifies has none, and no pair of simplices is
+    compared.  The certificate is sound on every mesh: its facet tests keep
+    the number of simplices over a point constant across the convex hull of
+    the vertices, and its centroid test makes it 1.  It holds on conforming
+    meshes of convex domains, as every constructor here builds, and refuses
+    the rest, conforming or not, without a message of its own: then the
+    all-pairs pass of _pairwise_violations gives the list.
     """
-    if _certify_conformity(mesh):
+    table = _facet_table(mesh)
+    if _certify_conformity(mesh, table):
         return []
-    return _pairwise_violations(mesh)
+    return _pairwise_violations(mesh, table)
 
 
-def _pairwise_violations(mesh):
-    """The violations of validate_conformity, from all pairs of simplices.
+def _pairwise_violations(mesh, table):
+    """The violations of validate_conformity, from all pairs of simplices;
+    table is _facet_table(mesh).
 
-    The list holds boundary faces shared by more than two simplices,
-    vertices lying inside or on a simplex they do not belong to (hanging
-    nodes), duplicate or folded simplex pairs, and pairs with overlapping
-    interiors.  One box per simplex, widened by _TOUCH_RTOL of its largest
-    extent, picks the candidate pairs, whose non-shared vertices are the
-    hanging-node candidates: a candidate hangs when each of its barycentric
-    coordinates in the simplex, from the facet normals of _facets, is at
-    least -_TOUCH_RTOL.  A pair sharing d vertices folds unless the lone
-    vertex of one lies strictly outside the other across the shared face, a
-    signed test with no tolerance; pairs that share fewer than d vertices go
-    through an exact separating-hyperplane test, one call per shared-vertex
-    count.  Nothing calls LAPACK.  Memory stays O(block * m): boxes are
-    compared in row blocks.
+    The list holds facets shared by more than two simplices, vertices lying
+    inside or on a simplex they do not belong to (hanging nodes), duplicate
+    or folded simplex pairs, and pairs with overlapping interiors.  One box
+    per simplex, widened by _TOUCH_RTOL of its largest extent, picks the
+    candidate pairs, whose non-shared vertices are the hanging-node
+    candidates: a candidate hangs when each of its barycentric coordinates
+    in the simplex, from the table's normals, is at least -_TOUCH_RTOL.  A
+    pair sharing d vertices folds unless the heights of its lone vertices
+    over the shared facet have opposite signs, as in step 2 of
+    _certify_conformity; pairs that share fewer than d vertices go through
+    an exact separating-hyperplane test (_unseparated over every candidate
+    of _candidate_edges), one call per shared-vertex count.  Nothing calls
+    LAPACK.  Memory stays O(block * m): boxes are compared in row blocks.
     """
-    violations = []
+    ids, faces, _, starts, owners, normals, firsts, heights = table
     d = mesh.dim
-    simplices = mesh.simplices
     verts = mesh.vertices
     m, n = mesh.n_simplices, mesh.n_vertices
-
-    ids = np.sort(simplices, axis=1)
-    faces = _faces(ids)
-    faces, owners = np.unique(faces, axis=0, return_counts=True)
-    for face, count in zip(faces[owners > 2].tolist(), owners[owners > 2].tolist()):
-        violations.append(f"face {tuple(face)} is shared by {count} simplices")
+    over = owners > 2
+    violations = [f"face {tuple(face)} is shared by {count} simplices"
+                  for face, count in zip(faces[starts[over]].tolist(), owners[over].tolist())]
 
     # one box per simplex, widened relative to its own size so graded meshes
     # stay scale-free; pairs i < j are candidates when their boxes meet
-    corners = verts[simplices]
+    corners = verts[ids]
     lo, hi = corners.min(axis=1), corners.max(axis=1)
     slack = _TOUCH_RTOL * (hi - lo).max(axis=1, keepdims=True)
     lo, hi = lo - slack, hi + slack
@@ -632,25 +624,20 @@ def _pairwise_violations(mesh):
         keep = j > i
         pairs.append((i[keep] + rows.start, j[keep] + rows.start))
     i, j = (np.concatenate(a) for a in zip(*pairs))
-    same = simplices[i][:, :, None] == simplices[j][:, None, :]   # (K, d+1, d+1)
+    same = ids[i][:, :, None] == ids[j][:, None, :]   # (K, d+1, d+1)
     in_j, in_i = same.any(axis=2), same.any(axis=1)
-
-    normals, firsts, heights = _facets(corners.transpose(2, 1, 0), range(d + 1))
-
-    def side(c, s, x):
-        """x's barycentric coordinate c in simplex s times |h|, with no division."""
-        dot = np.einsum("x...,x...->...", normals[:, c, s], x - firsts[:, c, s])
-        return dot * np.sign(heights[c, s])
 
     # hanging nodes: a vertex v on a foreign simplex s lies in the boxes of s
     # and of a simplex of its own, so v is a non-shared vertex of one side of
-    # a pair whose other side is s; candidates are ordered by s * n + v
+    # a pair whose other side is s; candidates are ordered by s * n + v.  v's
+    # barycentric coordinates in s, times |h|, come with no division
     s, v = np.divmod(np.unique(np.concatenate([
-        (j[:, None] * n + simplices[i])[~in_j],
-        (i[:, None] * n + simplices[j])[~in_i]])), n)
+        (j[:, None] * n + ids[i])[~in_j],
+        (i[:, None] * n + ids[j])[~in_i]])), n)
     inside = ((verts[v] >= lo[s]) & (verts[v] <= hi[s])).all(axis=1)
     s, v = s[inside], v[inside]
-    on = side(slice(None), s, verts[v].T[:, None]) >= -_TOUCH_RTOL * np.abs(heights[:, s])
+    side = np.einsum("x...,x...->...", normals[:, :, s], verts[v].T[:, None] - firsts[:, :, s])
+    on = side * np.sign(heights[:, s]) >= -_TOUCH_RTOL * np.abs(heights[:, s])
     for a, b in zip(*(x[on.all(axis=0)].tolist() for x in (s, v))):
         violations.append(f"vertex {b} lies on simplex {a} without being one of its vertices")
 
@@ -658,21 +645,20 @@ def _pairwise_violations(mesh):
     kind = np.zeros(len(i), dtype=np.int8)
     kind[shared == d + 1] = 1
 
-    # a fold: i's lone vertex is not strictly outside j across the shared
-    # face, the facet of j opposite j's lone vertex
+    # a fold: the lone vertices of i and j lie on one side of the shared
+    # facet, opposite each of them
     fold = np.flatnonzero(shared == d)
-    lone = verts[simplices[i[fold], np.argmin(in_j[fold], axis=1)]]
-    kind[fold[side(np.argmin(in_i[fold], axis=1), j[fold], lone.T) >= 0]] = 2
+    h_i = heights[np.argmin(in_j[fold], axis=1), i[fold]]
+    h_j = heights[np.argmin(in_i[fold], axis=1), j[fold]]
+    kind[fold[np.sign(h_i) * np.sign(h_j) >= 0]] = 2
 
-    # one kernel call per shared-vertex count s < d; for s >= 1 each pair's
-    # shared vertices come first and by id in both simplices
+    # one kernel call per shared-vertex count s < d; each pair's shared
+    # vertices come first, by id in both simplices
     for s in np.unique(shared[shared < d]).tolist():
         k = np.flatnonzero(shared == s)
-        a, b = simplices[i[k]], simplices[j[k]]
-        if s:
-            a = np.take_along_axis(a, np.argsort(np.where(in_j[k], a, n), axis=1), 1)
-            b = np.take_along_axis(b, np.argsort(np.where(in_i[k], b, n), axis=1), 1)
-        kind[k[_interiors_overlap(verts[a], verts[b], s)]] = 3
+        a = np.take_along_axis(ids[i[k]], np.argsort(~in_j[k], axis=1, kind="stable"), 1)
+        b = np.take_along_axis(ids[j[k]], np.argsort(~in_i[k], axis=1, kind="stable"), 1)
+        kind[k[_unseparated(verts[a], verts[b], *_candidate_edges(d, s))]] = 3
 
     messages = (
         None,

@@ -377,7 +377,6 @@ def _abs_integrals(mesh, rows):
         vals = np.concatenate([child_a, vals], axis=1)
         volume = np.concatenate([theta * volume, (1.0 - theta) * volume])
         owner = np.concatenate([owner, owner])
-    return totals
 
 
 class OperatorNorm(NamedTuple):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from projnorm import (SimplicialMesh, build_interval_partition, build_uniform_square, cli,
                       counterexample, load_mesh, mesh_to_dict, projection)
+from projnorm import mesh as meshmod
 
 
 def run(*argv):
@@ -96,6 +97,29 @@ class TestMeshCommand:
                    "-o", str(tmp_path / "s.csv")) == 2
         assert capsys.readouterr().err.count("error: d=1000000000 gives simplex volumes") == 2
         assert not out.exists()
+
+    def test_mesh_dimension_guard_exits_2(self, tmp_path, capsys, monkeypatch):
+        # refused before the facet kernel, and the sweep with norms before its
+        # first row; a sweep without norms builds no mesh and keeps d <= 167
+        cross = meshmod._cross
+
+        def refuse(*args):
+            raise AssertionError("a row was computed before the mesh dimension was checked")
+
+        def guarded(E):  # the 2D base mesh is still built
+            if len(E) > 2:
+                raise AssertionError("the facet kernel ran above the dimension limit")
+            return cross(E)
+
+        monkeypatch.setattr(counterexample, "_ring_system", refuse)
+        monkeypatch.setattr(meshmod, "_cross", guarded)
+        out = tmp_path / "mesh.json"
+        assert run("mesh", "pyramid", "--J", "1", "--t", "0.5", "--d", "40", "-o", str(out)) == 2
+        assert run("reproduce", "--pyramid", "--d", "40", "--J", "1,2", "--t", "0.5",
+                   "--with-norms", "-o", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: d=40 is above 12, the largest mesh dimension supported") == 2
+        assert not out.exists() and not (tmp_path / "s.csv").exists()
 
     def test_deterministic_output_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -12,6 +12,7 @@ from projnorm import (
     InvalidParameter,
     MissingLabels,
     NotEquivariant,
+    UnsupportedDimension,
     build_counterexample_2d,
     build_pyramid_partition,
     build_uniform_square,
@@ -422,6 +423,14 @@ class TestSweeps:
             mesh = build_counterexample_2d(J, t) if d == 2 else build_pyramid_partition(J, t, d)
             sup = project(mesh, oscillating_data(mesh)).sup_norm
             assert r.sup_norm == pytest.approx(sup, rel=1e-13)
+
+    def test_norm_sweep_checks_the_mesh_dimension_first(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a row was computed before the mesh dimension was checked")
+
+        monkeypatch.setattr(counterexample, "_ring_system", refuse)
+        with pytest.raises(UnsupportedDimension, match="d=40 is above 12"):
+            growth_sweep([1, 2], 0.5, d=40, with_norms=True)
 
     def test_growth_sweep_pyramid_increases(self):
         records = growth_sweep(range(2, 7), 0.01, d=3)

@@ -121,18 +121,9 @@ def sheared_double_cover():
     return SimplicialMesh(square * 2, [[0, 1, 2], [0, 2, 3], [4, 5, 7], [5, 6, 7]])
 
 
-def one_pass_violations(mesh, facets_only=False):
-    """_pairwise_violations with every candidate normal (or only the facet
-    normals) tried in one pass of _unseparated."""
-    def one_pass(P, Q, s):
-        tails, heads, facets = _candidate_edges(P.shape[2], s)
-        if facets_only:
-            tails, heads = tails[:facets], heads[:facets]
-        return meshmod._unseparated(P, Q, tails, heads)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(meshmod, "_interiors_overlap", one_pass)
-        return meshmod._pairwise_violations(mesh)
+def pairwise_violations(mesh):
+    """The all-pairs pass alone, on the mesh's own facet table."""
+    return meshmod._pairwise_violations(mesh, meshmod._facet_table(mesh))
 
 
 def unit_triangle():
@@ -320,6 +311,26 @@ class TestPyramidPartitions:
         with pytest.raises(DegenerateSimplex, match="d=1000000000 gives simplex volumes"):
             build_pyramid_partition(1, 0.5, 10**9)
 
+    def test_refuses_dimensions_the_facet_kernel_cannot_build(self, monkeypatch):
+        # _cross expands every minor; the guard stops builders and mesh files
+        # before it runs
+        cross = meshmod._cross
+
+        def guarded(E):  # the 2D base mesh is still built
+            if len(E) > 2:
+                raise AssertionError("the facet kernel ran above the dimension limit")
+            return cross(E)
+
+        monkeypatch.setattr(meshmod, "_cross", guarded)
+        message = "d=13 is above 12, the largest mesh dimension supported"
+        with pytest.raises(UnsupportedDimension, match=message):
+            build_pyramid_partition(1, 0.5, 13)
+        with pytest.raises(UnsupportedDimension, match="d=40 is above 12"):
+            build_pyramid_partition(1, 0.5, 40)
+        with pytest.raises(UnsupportedDimension, match=message):
+            mesh_from_json(json.dumps({"dim": 13, "vertices": np.eye(14, 13).tolist(),
+                                       "simplices": [list(range(14))]}))
+
 
 class TestUniformSquare:
     def test_counts(self):
@@ -486,81 +497,73 @@ class TestConformity:
         # products of nearly parallel unit edges from the apex, so their
         # direction is off by about eps / t**j, more than the gap slack allows
         # for bases t**j across
-        violations = meshmod._pairwise_violations(rotated_join(J, 0.1, d))
+        violations = pairwise_violations(rotated_join(J, 0.1, d))
         assert len(violations) == overlaps
         assert all(v.endswith("have overlapping interiors") for v in violations)
 
-    @pytest.mark.parametrize("build, violations, second_pass", [
-        (lambda: build_pyramid_partition(40, 0.01, 3), 0, False),
-        (lambda: build_pyramid_partition(20, 0.01, 4), 0, False),
-        (lambda: build_pyramid_partition(40, 0.01, 5), 0, False),
-        (lambda: negated_corner_join(12, 0.1, 3), 54, None),
-        (lambda: negated_corner_join(12, 0.1, 4), 54, None),
-        (lambda: negated_corner_join(12, 0.1, 5), 54, None),
-        (lambda: rotated_join(8, 0.1, 3), 64, True),
-        (lambda: rotated_join(6, 0.1, 4), 7, None),
-        (lambda: simplex_soup(3, np.random.default_rng(3), 8), 11, None),
-        (lambda: simplex_soup(4, np.random.default_rng(4), 8), 2, None),
-        (lambda: simplex_soup(5, np.random.default_rng(5), 8), 0, True),
-        (lambda: simplex_soup(3, np.random.default_rng(13), 8, pool=8), None, None),
-        (lambda: simplex_soup(4, np.random.default_rng(14), 8, pool=10), None, None),
-        (lambda: simplex_soup(5, np.random.default_rng(15), 8, pool=12), None, None),
+    @pytest.mark.parametrize("build, violations", [
+        (lambda: build_pyramid_partition(40, 0.01, 3), 0),
+        (lambda: build_pyramid_partition(20, 0.01, 4), 0),
+        (lambda: build_pyramid_partition(40, 0.01, 5), 0),
+        (lambda: negated_corner_join(12, 0.1, 3), 54),
+        (lambda: negated_corner_join(12, 0.1, 4), 54),
+        (lambda: negated_corner_join(12, 0.1, 5), 54),
+        (lambda: rotated_join(8, 0.1, 3), 64),
+        (lambda: rotated_join(6, 0.1, 4), 7),
+        (lambda: simplex_soup(3, np.random.default_rng(3), 8), 11),
+        (lambda: simplex_soup(4, np.random.default_rng(4), 8), 2),
+        (lambda: simplex_soup(5, np.random.default_rng(5), 8), 0),
+        (lambda: simplex_soup(3, np.random.default_rng(13), 8, pool=8), None),
+        (lambda: simplex_soup(4, np.random.default_rng(14), 8, pool=10), None),
+        (lambda: simplex_soup(5, np.random.default_rng(15), 8, pool=12), None),
     ], ids=["clean-d3-J40", "clean-d4-J20", "clean-d5-J40", "negated-d3", "negated-d4",
             "negated-d5", "rotated-d3-J8", "rotated-d4-J6", "soup-d3", "soup-d4", "soup-d5",
             "shared-soup-d3", "shared-soup-d4", "shared-soup-d5"])
-    def test_two_passes_match_one_pass_over_every_candidate(self, monkeypatch, build,
-                                                            violations, second_pass):
-        # the second pass tries the other candidates only on the pairs the
-        # facet normals leave unseparated; passes[k] lists the pairs each
-        # pass of kernel call k takes, and second_pass says whether any
-        # pair reaches a second pass (None: not asserted)
+    def test_pairwise_pass_counts(self, build, violations):
+        # the all-pairs pass alone, on certified meshes too; None: the
+        # shared soups are refused, and give validate_conformity's list
         mesh = build()
-        kernel, unseparated = meshmod._interiors_overlap, meshmod._unseparated
-        passes = []
-
-        def traced_kernel(P, Q, s):
-            passes.append([])
-            return kernel(P, Q, s)
-
-        def traced_unseparated(P, Q, tails, heads):
-            passes[-1].append(len(P))
-            return unseparated(P, Q, tails, heads)
-
-        monkeypatch.setattr(meshmod, "_interiors_overlap", traced_kernel)
-        monkeypatch.setattr(meshmod, "_unseparated", traced_unseparated)
-        got = meshmod._pairwise_violations(mesh)
-        monkeypatch.undo()
-        assert got == one_pass_violations(mesh)
-        if violations is not None:
+        got = pairwise_violations(mesh)
+        if violations is None:
+            assert got == validate_conformity(mesh) != []
+        else:
             assert len(got) == violations
-        second = sum(sum(p[1:]) for p in passes)
-        assert second_pass is None or (second > 0) == second_pass
-
-    def test_facet_normals_alone_report_false_overlaps(self):
-        # vertex-disjoint 5-simplices that only edge-combination normals separate
-        mesh = simplex_soup(5, np.random.default_rng(5), 8)
-        assert meshmod._pairwise_violations(mesh) == []
-        false = one_pass_violations(mesh, facets_only=True)
-        assert len(false) == 5
-        for v in false:
-            a, b = map(int, re.findall(r"\d+", v))
-            assert not lp_interiors_overlap(*mesh.vertices[mesh.simplices[[a, b]]])
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.integers(1, 6), st.floats(0.05, 0.5), st.integers(3, 5), st.floats(0.0, 1.0),
            st.integers(0, 2**32 - 1))
-    def test_two_passes_match_one_pass_on_jittered_joins(self, J, t, d, amplitude, seed):
+    def test_pairwise_pass_matches_validation_on_jittered_joins(self, J, t, d, amplitude, seed):
         mesh = jittered_join(J, t, d, amplitude, np.random.default_rng(seed))
-        got = meshmod._pairwise_violations(mesh)
-        assert got == one_pass_violations(mesh) == validate_conformity(mesh)
+        assert pairwise_violations(mesh) == validate_conformity(mesh)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(1, 5), st.integers(2, 10), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_two_passes_match_one_pass_on_simplex_soups(self, d, n, shared, seed):
+    def test_pairwise_pass_matches_validation_on_simplex_soups(self, d, n, shared, seed):
         rng = np.random.default_rng(seed)
         mesh = simplex_soup(d, rng, n, pool=2 * (d + 1) if shared else None)
-        got = meshmod._pairwise_violations(mesh)
-        assert got == one_pass_violations(mesh) == validate_conformity(mesh)
+        assert pairwise_violations(mesh) == validate_conformity(mesh)
+
+    @pytest.mark.parametrize("build", [l_shape, lambda: negated_corner_join(12, 0.1, 3)],
+                             ids=["l-shape", "negated-d3"])
+    def test_one_facet_table_per_validation(self, build, monkeypatch):
+        # the certificate and the all-pairs pass, which runs on these
+        # refused meshes, read one set of facet normals and heights
+        mesh = build()
+        kernel, pairwise = meshmod._facets, meshmod._pairwise_violations
+        calls = []
+
+        def counted(X, opposite):
+            calls.append("facets")
+            return kernel(X, opposite)
+
+        def traced(*args):
+            calls.append("pairs")
+            return pairwise(*args)
+
+        monkeypatch.setattr(meshmod, "_facets", counted)
+        monkeypatch.setattr(meshmod, "_pairwise_violations", traced)
+        validate_conformity(mesh)
+        assert calls == ["facets", "pairs"]
 
     def test_star_of_david_crossing(self):
         # no shared vertex, and no vertex of either triangle inside the other
@@ -712,19 +715,19 @@ class TestConformity:
         # floor on the box extent made them all meet each other, and 50,642
         # pairs reached the kernel instead of 2,866
         mesh = build_counterexample_2d(60, 0.01)
-        kernel = meshmod._interiors_overlap
+        kernel = meshmod._unseparated
         pairs = []
 
-        def counted(P, Q, s):
+        def counted(P, Q, tails, heads):
             pairs.append(len(P))
-            return kernel(P, Q, s)
+            return kernel(P, Q, tails, heads)
 
-        monkeypatch.setattr(meshmod, "_interiors_overlap", counted)
-        assert meshmod._pairwise_violations(mesh) == []
+        monkeypatch.setattr(meshmod, "_unseparated", counted)
+        assert pairwise_violations(mesh) == []
         assert sum(pairs) < 3000
         tiny = SimplicialMesh(build_uniform_square(12).vertices * 1e-40,
                               build_uniform_square(12).simplices)
-        assert meshmod._pairwise_violations(tiny) == []
+        assert pairwise_violations(tiny) == []
 
     @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.sparse.csgraph"])
     def test_import_leaves_out(self, module):
@@ -780,7 +783,7 @@ class TestCertificate:
     def test_matches_rational_oracle(self, name):
         build, certified, violations = self.CORPUS[name]
         mesh = build()
-        assert meshmod._certify_conformity(mesh) is certified
+        assert meshmod._certify_conformity(mesh, meshmod._facet_table(mesh)) is certified
         assert oracles.rational_conformity_certificate(mesh) is certified
         assert len(validate_conformity(mesh)) == violations
 
@@ -794,7 +797,7 @@ class TestCertificate:
     def test_certified_meshes_compare_no_pairs(self, build, monkeypatch):
         mesh = build()
 
-        def refuse(mesh):
+        def refuse(mesh, table):
             raise AssertionError("the all-pairs pass ran on a certified mesh")
 
         monkeypatch.setattr(meshmod, "_pairwise_violations", refuse)
@@ -805,7 +808,8 @@ class TestCertificate:
     def test_stellar_refinements_are_certified(self, d, splits, seed):
         # conforming, on a simplex, with volumes graded over up to 1e3 per split
         vertices, simplices = oracles.random_stellar_mesh(np.random.default_rng(seed), d, splits)
-        assert meshmod._certify_conformity(SimplicialMesh(vertices, simplices))
+        mesh = SimplicialMesh(vertices, simplices)
+        assert meshmod._certify_conformity(mesh, meshmod._facet_table(mesh))
 
 
 class TestAngleStats:

@@ -595,6 +595,43 @@ class TestExactOperatorNorm:
         assert abs_integral(mesh, psi[4]) == pytest.approx(19 / 8, rel=1e-12)
 
 
+def relabeled(mesh, rng):
+    """The mesh with its vertex ids permuted, its simplices shuffled and each
+    row permuted, and the new id of every old vertex id."""
+    new_id = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    simplices = new_id[mesh.simplices][rng.permutation(mesh.n_simplices)]
+    return SimplicialMesh(vertices, rng.permuted(simplices, axis=1)), new_id
+
+
+class TestRelabeling:
+    # the norm and the bound depend on the mesh, not on how it is numbered
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_norm_is_invariant_on_stellar_meshes(self, d, splits, seed):
+        # witnesses are not compared: tied rows, as on a single simplex, may
+        # swap under the relabeling
+        rng = np.random.default_rng(seed)
+        mesh = SimplicialMesh(*oracles.random_stellar_mesh(rng, d, splits, max_grading=10))
+        a = exact_operator_norm(mesh)
+        b = exact_operator_norm(relabeled(mesh, rng)[0])
+        assert b.norm == pytest.approx(a.norm, rel=1e-13, abs=0)
+        assert b.ainv_bound == pytest.approx(a.ainv_bound, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("build", [lambda: build_counterexample_2d(60, 0.01),
+                                       lambda: build_pyramid_partition(40, 0.01, 5)],
+                             ids=["cx-J60", "pyramid-d5-J40"])
+    def test_norm_and_witness_follow_the_relabeling_on_graded_meshes(self, build):
+        mesh = build()
+        a = exact_operator_norm(mesh)
+        other, new_id = relabeled(mesh, np.random.default_rng(60))
+        b = exact_operator_norm(other)
+        assert b.norm == pytest.approx(a.norm, rel=1e-13, abs=0)
+        assert b.ainv_bound == pytest.approx(a.ainv_bound, rel=1e-13, abs=0)
+        assert b.witness == new_id[a.witness]
+
+
 class TestRowPruning:
     # (norm, witness, ainv_bound) as exact_operator_norm returns them, in its
     # default row blocks, at t = 0.01 on the simplex volumes |h_0| / d! of the
