@@ -166,9 +166,8 @@ def assemble_load(mesh, f):
     values = _vector_of_length(getattr(f, "values", f), mesh.n_simplices,
                                "value per simplex")
     contrib = values * mesh.simplex_volumes / (mesh.dim + 1)
-    F = np.zeros(mesh.n_vertices)
-    np.add.at(F, mesh.simplices, contrib[:, None])
-    return F
+    return np.bincount(mesh.simplices.ravel(), np.repeat(contrib, mesh.dim + 1),
+                       mesh.n_vertices)
 
 
 def normalized_system(mesh, f):

@@ -80,6 +80,15 @@ def quadrature_load(mesh, values, n=8):
     return F
 
 
+def add_at_load(mesh, values):
+    """Load vector by np.add.at, adding each simplex's f * V / (d+1) to its
+    vertices in the C order of the simplex rows."""
+    F = np.zeros(mesh.n_vertices)
+    contrib = np.asarray(values, dtype=float) * mesh.simplex_volumes / (mesh.dim + 1)
+    np.add.at(F, mesh.simplices, contrib[:, None])
+    return F
+
+
 @functools.cache
 def _subdivide_reference_triangle(k):
     """Vertices (barycentric) of the k^2 congruent subtriangles of a triangle.

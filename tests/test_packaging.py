@@ -107,3 +107,15 @@ def test_private_module_names_are_used():
                 used.add(node.attr)
     unused = [f"{file}:{line}: {name}" for file, line, name in defined if name not in used]
     assert defined and not unused, unused
+
+
+def test_no_unbuffered_add_at_in_the_package():
+    # np.add.at scatters one element at a time; np.bincount adds in the same
+    # order and is several times faster.  np.minimum.at has no such stand-in
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _sources() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "at"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "add"
+             and isinstance(node.value.value, ast.Name)
+             and node.value.value.id in {"np", "numpy"}]
+    assert not found, found

@@ -233,6 +233,16 @@ class TestProjection:
         assert F[1] == pytest.approx(1 / 6, rel=1e-14)
         assert F[3] == pytest.approx(-1 / 6, rel=1e-14)
 
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_load_matches_add_at_bitwise(self, d, splits, seed):
+        # bincount adds in the same C order of the (m, d+1) ids as np.add.at
+        rng = np.random.default_rng(seed)
+        mesh = SimplicialMesh(*oracles.random_stellar_mesh(rng, d, splits))
+        values = rng.uniform(-1.0, 1.0, mesh.n_simplices)
+        F = assemble_load(mesh, values)
+        assert F.tobytes() == oracles.add_at_load(mesh, values).tobytes()
+
     def test_length_mismatch(self):
         mesh = build_uniform_square(2)
         with pytest.raises(LengthMismatch):
@@ -618,6 +628,19 @@ class TestRelabeling:
         b = exact_operator_norm(relabeled(mesh, rng)[0])
         assert b.norm == pytest.approx(a.norm, rel=1e-13, abs=0)
         assert b.ainv_bound == pytest.approx(a.ainv_bound, rel=1e-13, abs=0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "open FOUND in CHANGES.md: mesh._volumes (|h_0| / d! from the row's first "
+        "vertex) loses digits on slivers, so the norm depends on the numbering"))
+    @pytest.mark.parametrize("d, splits, seed", [(3, 20, 14), (2, 20, 10)])
+    def test_norm_is_invariant_on_graded_stellar_meshes(self, d, splits, seed):
+        # the default max_grading=1e3; a seed search over d = 2, 3 found the
+        # norm moving by 3.1e-8 (d = 3) and 3.5e-11 (d = 2) relative
+        rng = np.random.default_rng(seed)
+        mesh = SimplicialMesh(*oracles.random_stellar_mesh(rng, d, splits))
+        a = exact_operator_norm(mesh)
+        b = exact_operator_norm(relabeled(mesh, rng)[0])
+        assert b.norm == pytest.approx(a.norm, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("build", [lambda: build_counterexample_2d(60, 0.01),
                                        lambda: build_pyramid_partition(40, 0.01, 5)],
