@@ -9,10 +9,9 @@ system whose solution has sup norm 2J+1.  The pyramid joins converge to the
 same system plus one apex unknown, coupled to every row by (d-2)/2, so the 2D
 limit is the pyramid limit at d = 2.  The reduced system also has a
 closed-form ring stencil at every t >= 0, written from the ring areas
-without building a mesh and stacked over an array of t: growth_sweep solves
-it per J and convergence_study (`reproduce --limit`) as one stack over its
-t, the limit systems are its t = 0 rows, and reduced_ring_system(mesh), the
-reduction derived from a labeled mesh, is what checks it.  This module
+without building a mesh: growth_sweep and convergence_study (`reproduce`)
+solve it, the limit systems are its t = 0 rows, and reduced_ring_system(mesh),
+the reduction derived from a labeled mesh, is what checks it.  This module
 builds the reductions, the limit systems and the parameter sweeps that
 exhibit the growth.
 """
@@ -65,13 +64,10 @@ class LimitSystem:
     rhs: np.ndarray
 
     def solve(self):
-        """x, or SolveFailure if ||matrix @ x - rhs||_inf / ||rhs||_inf > RESIDUAL_RTOL;
-        a stack (..., k, k) is gated system by system and reports its largest."""
-        A, b = self.matrix, self.rhs
-        x = np.linalg.solve(A, b[..., None])[..., 0]
-        scale = np.abs(b).max(axis=-1)
-        residual = float((np.abs((A @ x[..., None])[..., 0] - b).max(axis=-1)
-                          / np.where(scale, scale, 1.0)).max(initial=0.0))
+        """x, or SolveFailure if ||matrix @ x - rhs||_inf / ||rhs||_inf > RESIDUAL_RTOL."""
+        x = np.linalg.solve(self.matrix, self.rhs)
+        residual = float(np.abs(self.matrix @ x - self.rhs).max()
+                         / (np.abs(self.rhs).max() or 1.0))
         if not residual <= RESIDUAL_RTOL:  # a NaN residual fails too
             raise SolveFailure(f"ring system solve left normalized residual {residual:.3e} "
                                f"(allowed {RESIDUAL_RTOL:.0e})", residual=residual)
@@ -163,7 +159,7 @@ def limit_system_pyramid(J, d):
 
 
 def _ring_system(J, t, d):
-    """reduced_ring_system of the J-ring family at 0 <= t < 1; an array t gives a stack.
+    """reduced_ring_system of the J-ring family at 0 <= t < 1 in closed form.
 
     Annulus j lies between the squares of half-widths a = t^(j-1) and
     b = t^j; each of its sides holds triangles of areas T1 = b(a-b) and
@@ -178,7 +174,6 @@ def _ring_system(J, t, d):
     square's, and (d+2)/2 times the data's mean over the square.
     """
     # row j's weights of annulus j (its corners inner), annulus j+1 (outer), fan
-    t = np.asarray(t, float)[..., None]
     j = np.arange(J + 1)
     inner = (j > 0) * 1.0
     outer = np.where(j == 0, 1.0, t * t) * (j < J)
@@ -190,26 +185,22 @@ def _ring_system(J, t, d):
     # by (6, 2), an inner corner T1 by (2, 6) and T2 by (2, 2), and a ring-J
     # corner the fan by (6, 2) on (ring J, center)
     k = J + 2 + (d > 2)
-    A = np.zeros(t.shape[:-1] + (k, k))
-    b = np.zeros(t.shape[:-1] + (k,))
-    A[..., j[1:], j[1:] - 1] = (2 * t + 2) / (2 * star[..., 1:])
-    A[..., j, j] = (inner * (6 * t + 2) + outer * (2 * t + 6) + 6 * fan) / (2 * star)
-    A[..., j, j + 1] = (outer * (2 * t + 2) + 2 * fan) / (2 * star)
-    A[..., J + 1, J:J + 2] = 1.0
+    A = np.zeros((k, k))
+    b = np.zeros(k)
+    A[j[1:], j[1:] - 1] = (2 * t + 2) / (2 * star[1:])
+    A[j, j] = (inner * (6 * t + 2) + outer * (2 * t + 6) + 6 * fan) / (2 * star)
+    A[j, j + 1] = (outer * (2 * t + 2) + 2 * fan) / (2 * star)
+    A[J + 1, J:J + 2] = 1.0
     sign = (-1.0) ** np.arange(J + 2)
-    b[..., :J + 1] = 2 * sign[:-1] * (inner * (2 * t + 1) - outer * (t + 2) - 2 * fan) / star
-    b[..., J + 1] = 2 * sign[-1]
+    b[:J + 1] = 2 * sign[:-1] * (inner * (2 * t + 1) - outer * (t + 2) - 2 * fan) / star
+    b[J + 1] = 2 * sign[-1]
     if d > 2:
         scale = t ** np.maximum(2 * j - 2, 0) * (1.0 - t)
-        # float's pow and one dot per system: numpy's vector pow can be an ulp
-        # off libm's, and a stacked matrix-vector product sums in another order
-        fan_area = (t.astype(object) ** (2 * J)).astype(float)
-        annuli = (scale[..., None, 1:] @ sign[1:J + 1, None])[..., 0] * (1.0 + t)
-        b[..., :-1] *= (d + 2) / 4.0
-        b[..., -1:] = (d + 2) / 2.0 * (annuli + sign[-1] * fan_area)
-        A[..., :-1, -1] = (d - 2) / 2.0
-        A[..., -1, :-1] = np.concatenate([star * scale, fan_area], axis=-1) / 2.0
-        A[..., -1, -1] = (d - 1) / 2.0
+        b[:-1] *= (d + 2) / 4.0
+        b[-1] = (d + 2) / 2.0 * (sign[1:J + 1] @ scale[1:] * (1.0 + t) + sign[-1] * t ** (2 * J))
+        A[:-1, -1] = (d - 2) / 2.0
+        A[-1, :-1] = np.append(star * scale, t ** (2 * J)) / 2.0
+        A[-1, -1] = (d - 1) / 2.0
     return LimitSystem(matrix=A, rhs=b)
 
 
@@ -229,18 +220,27 @@ class SweepRecord:
 def convergence_study(J, t_list):
     """Reduced solutions of the 2D family against the limit solution.
 
-    Every t is checked against the underflow guard, in order, before the
-    closed-form ring stencil _ring_system(J, t, 2) is built, solved and gated
-    for all of them as one stack.  Each solution is compared entrywise with
-    the closed-form limit; limit_error is the largest deviation and shrinks
-    like t as t -> 0.  No mesh is built: reduced_ring_system of the built
-    mesh is the same system, reduced from the float mesh.
+    Every t is checked against the underflow guard, in order, before any
+    system is built.  Then, one t at a time, the closed-form ring stencil
+    _ring_system(J, t, 2) is solved and compared entrywise with the
+    closed-form limit; limit_error is the largest deviation and shrinks like
+    t as t -> 0.  No mesh is built: reduced_ring_system of the built mesh is
+    the same system, reduced from the float mesh.
     """
     x_hat = limit_solution_2d(J)
-    ts = [check_ring_parameters(J, t) for t in t_list]
-    x = _ring_system(J, ts, 2).solve()
-    return [SweepRecord(J=J, t=t, d=2, sup_norm=float(s), limit_error=float(e))
-            for t, s, e in zip(ts, np.abs(x).max(axis=-1), np.abs(x - x_hat).max(axis=-1))]
+    records = []
+    for t in [check_ring_parameters(J, t) for t in t_list]:
+        x = _ring_system(J, t, 2).solve()
+        records.append(
+            SweepRecord(
+                J=J,
+                t=t,
+                d=2,
+                sup_norm=float(np.abs(x).max()),
+                limit_error=float(np.abs(x - x_hat).max()),
+            )
+        )
+    return records
 
 
 def growth_sweep(J_list, t, d=2, with_norms=False):
