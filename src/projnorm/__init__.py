@@ -42,14 +42,12 @@ from .mesh import (
 from .projection import (
     CellwiseConstant,
     OperatorNorm,
-    Proposition1Result,
     SplineFunction,
     assemble_load,
     assemble_mass,
     exact_operator_norm,
     normalized_system,
     project,
-    proposition1_check,
     solve_with_load,
 )
 from .counterexample import (

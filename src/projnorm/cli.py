@@ -224,18 +224,15 @@ def cmd_project(args):
 
 def cmd_norm(args):
     mesh = meshmod.load_mesh(args.mesh)
-    norm, witness, bound = proj.exact_operator_norm(mesh)
+    result = proj.exact_operator_norm(mesh)
+    norm, witness, bound, c0 = result
+    prop1_bound = result.prop1_bound
     print(f"exact_operator_norm: {norm:.12g}  (witness vertex {witness})")
     print(f"ainv_bound: {bound:.12g}")
     print(f"exact <= bound: {norm <= bound + 1e-9}")
-    c0 = prop1_bound = None
-    if mesh.dim == 2:
-        result = proj.proposition1_check(mesh, norm)
-        c0, prop1_bound = result.c0, result.bound
-        print(
-            f"c0: {result.c0:.12g}  prop1_bound: {result.bound:.12g}  "
-            f"satisfied: {result.satisfied}"
-        )
+    if c0 is not None:
+        print(f"c0: {c0:.12g}  prop1_bound: {prop1_bound:.12g}  "
+              f"satisfied: {norm <= prop1_bound + 1e-8}")
     if args.output:
         report = {"mesh": mesh, "exact_operator_norm": norm,
                   "ainv_bound": bound, "c0": c0, "prop1_bound": prop1_bound}

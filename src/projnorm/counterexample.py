@@ -195,7 +195,8 @@ def _ring_system(J, t, d):
     b[:J + 1] = 2 * sign[:-1] * (inner * (2 * t + 1) - outer * (t + 2) - 2 * fan) / star
     b[J + 1] = 2 * sign[-1]
     if d > 2:
-        scale = t ** np.maximum(2 * j - 2, 0) * (1.0 - t)
+        # float pow per power: numpy's vector pow can be an ulp off the exact one
+        scale = np.array([t ** max(2 * k - 2, 0) for k in range(J + 1)]) * (1.0 - t)
         b[:-1] *= (d + 2) / 4.0
         b[-1] = (d + 2) / 2.0 * (sign[1:J + 1] @ scale[1:] * (1.0 + t) + sign[-1] * t ** (2 * J))
         A[:-1, -1] = (d - 2) / 2.0
@@ -272,7 +273,7 @@ def _sweep_record(J, t, d, with_norms):
     rec = SweepRecord(J=J, t=t, d=d, sup_norm=float(np.abs(x).max()))
     if with_norms:
         mesh = build_counterexample_2d(J, t) if d == 2 else build_pyramid_partition(J, t, d)
-        rec.exact_operator_norm, _, rec.ainv_bound = exact_operator_norm(mesh)
+        rec.exact_operator_norm, _, rec.ainv_bound, _ = exact_operator_norm(mesh)
     return rec
 
 

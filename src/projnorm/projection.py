@@ -29,7 +29,9 @@ Rows whose certificate falls below the best integral so far (less the tie
 band) cannot be the norm or its witness and are not integrated.  The block
 of the most refined vertex (smallest M_PP) goes first, since its dual
 function has the largest integral on the shrinking-square meshes and their
-pyramid joins, where nearly every other row is then pruned.
+pyramid joins, where nearly every other row is then pruned.  On a 2D mesh
+the same M also gives c0, the smallest off-diagonal entry of A, and with it
+Proposition 1's coupling bound (1 + 2 c0) / c0^2 on the norm.
 """
 
 from __future__ import annotations
@@ -42,12 +44,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .errors import (
-    InvalidParameter,
-    LengthMismatch,
-    SolveFailure,
-    UnsupportedDimension,
-)
+from .errors import InvalidParameter, LengthMismatch, SolveFailure
 
 # Largest normalized residual (see _residual_gate) a solve may leave.
 RESIDUAL_RTOL = 1e-10
@@ -382,10 +379,24 @@ class OperatorNorm(NamedTuple):
     norm: float
     witness: int
     ainv_bound: float
+    c0: float | None
+
+    @property
+    def prop1_bound(self):
+        """Proposition 1's bound (1 + 2 c0) / c0^2 on the norm; None off 2D.
+
+        It deteriorates as c0 -> 0, which is what the shrinking-square family
+        exhibits; c0**2 is 0.0 from c0 below about 1e-162, where the bound
+        overflows anyway, and the bound is then inf.
+        """
+        if self.c0 is None:
+            return None
+        square = self.c0**2
+        return (1.0 + 2.0 * self.c0) / square if square > 0.0 else math.inf
 
 
 def exact_operator_norm(mesh):
-    """Exact sup-norm operator norm, its witness vertex and the A^{-1} bound.
+    """Exact sup-norm operator norm, its witness vertex, the A^{-1} bound and c0.
 
     The norm is max_P integral of |psi_P| over the dual functions psi_P, the
     rows of M^{-1}; they are solved for through the residual gate one block
@@ -399,13 +410,20 @@ def exact_operator_norm(mesh):
     whose integral is within a relative 1e-12 of the norm, so roundoff in the
     order of the summation cannot move it between tied vertices.  The bound
     is (d+2)/2 * ||A^{-1}||_inf = max_P U_P over every row, since
-    A^{-1} = M^{-1} D.
+    A^{-1} = M^{-1} D.  On a 2D mesh c0 is the smallest off-diagonal entry
+    of A over neighboring vertex pairs, read from the same M, and the
+    result's prop1_bound is Proposition 1's bound from it; off 2D c0 is None.
     """
     M = assemble_mass(mesh)
     solve = _mass_solver(M)
     n = mesh.n_vertices
     step = max(1, _BLOCK_VALUES // mesh.simplices.size)
     diag = M.diagonal()
+    c0 = None
+    if mesh.dim == 2:
+        coo = M.tocoo()
+        off = coo.row != coo.col
+        c0 = float((coo.data[off] / diag[coo.row[off]]).min())
     half = 0.5 * (mesh.dim + 2)
     seed = int(np.argmin(diag)) // step * step
     totals = np.zeros(n)
@@ -421,33 +439,4 @@ def exact_operator_norm(mesh):
             totals[start:stop][keep] = _abs_integrals(mesh, psi[keep])
         best = max(best, float(totals[start:stop].max()))
     witness = int(np.argmax(totals >= best * (1.0 - _TIE_RTOL)))
-    return OperatorNorm(best, witness, half * row_sum)
-
-
-class Proposition1Result(NamedTuple):
-    c0: float
-    bound: float
-    exact_norm: float
-    satisfied: bool
-
-
-def proposition1_check(mesh, exact_norm):
-    """Compare an exact norm against (1 + 2 c0) / c0^2, c0 = min coupling.
-
-    exact_norm is the mesh's exact operator norm, as exact_operator_norm
-    returns it.  c0 is the smallest off-diagonal entry of A over neighboring
-    vertex pairs.  Defined for 2D meshes; the bound deteriorates as c0 -> 0,
-    which is exactly what the shrinking-square family exhibits.
-    """
-    if mesh.dim != 2:
-        raise UnsupportedDimension("the coupling-based bound is stated for 2D meshes")
-    M = assemble_mass(mesh)
-    diag = M.diagonal()
-    M = M.tocoo()
-    off = M.row != M.col
-    c0 = float((M.data[off] / diag[M.row[off]]).min())
-    # c0**2 is 0.0 from c0 below about 1e-162, where the bound overflows anyway
-    square = c0**2
-    bound = (1.0 + 2.0 * c0) / square if square > 0.0 else math.inf
-    return Proposition1Result(c0=c0, bound=bound, exact_norm=exact_norm,
-                              satisfied=exact_norm <= bound + 1e-8)
+    return OperatorNorm(best, witness, half * row_sum, c0)

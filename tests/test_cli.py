@@ -8,6 +8,7 @@ import math
 import runpy
 import sys
 import types
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -385,6 +386,32 @@ class TestNormCommand:
         capsys.readouterr()
         assert run("norm", "--mesh", str(mesh_file)) == 0
         assert "c0:" not in capsys.readouterr().out
+
+
+class TestOneAssemblyPerCommand:
+    # the norm, its bound, c0 and Proposition 1's bound all come from one
+    # mass matrix and one factorization of it
+    @pytest.mark.parametrize("command, mesh_args", [
+        (("norm",), ("counterexample2d", "--J", "4", "--t", "0.1")),
+        (("norm",), ("pyramid", "--J", "2", "--t", "0.1", "--d", "3")),
+        (("project", "--oscillating"), ("counterexample2d", "--J", "6", "--t", "0.01")),
+    ], ids=["norm-2d", "norm-d3", "project-graded"])
+    def test_one_assembly_and_one_factorization(self, tmp_path, monkeypatch, command,
+                                                mesh_args):
+        mesh_file = tmp_path / "mesh.json"
+        assert run("mesh", *mesh_args, "-o", str(mesh_file)) == 0
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in "assemble_mass", "splu":
+            monkeypatch.setattr(projection, name, counted(name, getattr(projection, name)))
+        assert run(*command, "--mesh", str(mesh_file), "-o", str(tmp_path / "r.json")) == 0
+        assert calls == {"assemble_mass": 1, "splu": 1}
 
 
 def plain_value(value):

@@ -119,3 +119,23 @@ def test_no_unbuffered_add_at_in_the_package():
              and isinstance(node.value.value, ast.Name)
              and node.value.value.id in {"np", "numpy"}]
     assert not found, found
+
+
+def test_no_vector_pow_in_the_package():
+    # numpy's SIMD pow can be an ulp off the correctly rounded power: on a
+    # 2-vCPU AVX-512 Xeon it missed 161 of the 3,440 powers t^max(2k-2, 0)
+    # of the ring stencil (t in {0.5, 0.3, 0.1, 0.01}, J = 1..40) and float
+    # pow none, so powers are taken one at a time by float pow.  A sign
+    # factor (-1.0) ** k is exact either way, and the mesh builder's ring
+    # scales are the open FOUND in CHANGES.md, kept because the row-pruning
+    # pins hold their bits
+    allowed = {("mesh.py", "t ** np.arange(J + 1)")}
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _sources() for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and isinstance(node.right, ast.Call) and isinstance(node.right.func, ast.Attribute)
+             and isinstance(node.right.func.value, ast.Name)
+             and node.right.func.value.id in {"np", "numpy"}
+             and ast.unparse(node.left) != "-1.0"
+             and (path.name, ast.unparse(node)) not in allowed]
+    assert not found, found

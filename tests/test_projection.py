@@ -16,7 +16,6 @@ from projnorm import (
     SimplicialMesh,
     SolveFailure,
     SplineFunction,
-    UnsupportedDimension,
     assemble_load,
     assemble_mass,
     build_counterexample_2d,
@@ -27,7 +26,6 @@ from projnorm import (
     normalized_system,
     oscillating_data,
     project,
-    proposition1_check,
     solve_with_load,
     vertex_roles,
 )
@@ -535,7 +533,7 @@ class TestExactOperatorNorm:
         # dual at either endpoint of one segment has integral of |psi| = 5/3;
         # the two tie, and ties go to the smallest vertex id
         mesh = build_interval_partition([0.0, 1.0])
-        norm, witness, _ = exact_operator_norm(mesh)
+        norm, witness, _, _ = exact_operator_norm(mesh)
         assert norm == pytest.approx(5 / 3, rel=1e-12)
         assert witness == 0
 
@@ -543,7 +541,7 @@ class TestExactOperatorNorm:
         # on the 8 x 8 grid the duals at (3/8, 0) and its seven images under
         # the square's symmetries tie up to roundoff; vertex 3 is the first
         mesh = build_uniform_square(8)
-        norm, witness, _ = exact_operator_norm(mesh)
+        norm, witness, _, _ = exact_operator_norm(mesh)
         totals = [abs_integral(mesh, row)
                   for row in oracles.dense_dual_basis(assemble_mass(mesh))]
         assert norm == pytest.approx(max(totals), rel=1e-13)
@@ -575,7 +573,7 @@ class TestExactOperatorNorm:
         # segment lengths 10^x graded up to 1e12; in 1D every sign change of a
         # dual function is a lone-vertex segment, integrated in closed form
         mesh = build_interval_partition(np.cumsum([0.0] + [10.0**x for x in log_lengths]))
-        norm, witness, bound = exact_operator_norm(mesh)
+        norm, witness, bound, _ = exact_operator_norm(mesh)
         assert norm <= 3.0
         # data sign(integral of psi_witness) per segment projects to at least
         # sum |integral_T psi_witness| at the witness, and to at most the norm
@@ -596,7 +594,7 @@ class TestExactOperatorNorm:
         # the center (whose dual has the smaller integral 19/8); note it
         # already exceeds the 1D bound 3
         mesh = build_uniform_square(2)
-        norm, witness, _ = exact_operator_norm(mesh)
+        norm, witness, _, _ = exact_operator_norm(mesh)
         psi = oracles.dense_dual_basis(assemble_mass(mesh))
         approx = oracles.subdivision_abs_integral(mesh, psi[witness], k=512)
         assert norm == pytest.approx(approx, rel=1e-5)
@@ -632,12 +630,18 @@ class TestRelabeling:
     @pytest.mark.xfail(strict=True, reason=(
         "open FOUND in CHANGES.md: mesh._volumes (|h_0| / d! from the row's first "
         "vertex) loses digits on slivers, so the norm depends on the numbering"))
-    @pytest.mark.parametrize("d, splits, seed", [(3, 20, 14), (2, 20, 10)])
-    def test_norm_is_invariant_on_graded_stellar_meshes(self, d, splits, seed):
-        # the default max_grading=1e3; a seed search over d = 2, 3 found the
-        # norm moving by 3.1e-8 (d = 3) and 3.5e-11 (d = 2) relative
+    @pytest.mark.parametrize("d, splits, seed, max_grading", [
+        pytest.param(3, 20, 14, 1e3, id="3-20-14"),
+        pytest.param(2, 20, 10, 1e3, id="2-20-10"),
+        pytest.param(3, 9, 1853, 10, id="3-9-1853-grading10"),
+    ])
+    def test_norm_is_invariant_on_graded_stellar_meshes(self, d, splits, seed, max_grading):
+        # a seed search over d = 2, 3 at the default max_grading=1e3 found the
+        # norm moving by 3.1e-8 (d = 3) and 3.5e-11 (d = 2) relative; at
+        # max_grading=10 the d = 3 case, whose float volumes are 7.1e-11 off
+        # the exact ones, moves it by 3.9e-12
         rng = np.random.default_rng(seed)
-        mesh = SimplicialMesh(*oracles.random_stellar_mesh(rng, d, splits))
+        mesh = SimplicialMesh(*oracles.random_stellar_mesh(rng, d, splits, max_grading))
         a = exact_operator_norm(mesh)
         b = exact_operator_norm(relabeled(mesh, rng)[0])
         assert b.norm == pytest.approx(a.norm, rel=1e-13, abs=0)
@@ -653,6 +657,22 @@ class TestRelabeling:
         assert b.norm == pytest.approx(a.norm, rel=1e-13, abs=0)
         assert b.ainv_bound == pytest.approx(a.ainv_bound, rel=1e-13, abs=0)
         assert b.witness == new_id[a.witness]
+        if mesh.dim == 2:
+            assert b.c0 == pytest.approx(a.c0, rel=1e-13, abs=0)
+        else:
+            assert a.c0 is b.c0 is None
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "open FOUND in CHANGES.md: c0 is a ratio of a few simplex volumes, so it "
+        "carries mesh._volumes' numbering-dependent error on slivers"))
+    def test_c0_is_invariant_on_a_2d_sliver(self):
+        # the relabeled mesh's float volumes are 1.6e-13 off the exact ones
+        # (the original's 1.9e-14), and c0 = 7.9e-5 moves by 1.2e-13 relative
+        rng = np.random.default_rng(838681)
+        mesh = SimplicialMesh(*oracles.random_stellar_mesh(rng, 2, 10, max_grading=10))
+        a = exact_operator_norm(mesh)
+        b = exact_operator_norm(relabeled(mesh, rng)[0])
+        assert b.c0 == pytest.approx(a.c0, rel=1e-13, abs=0)
 
 
 class TestRowPruning:
@@ -672,7 +692,7 @@ class TestRowPruning:
 
     @pytest.mark.parametrize("name", list(MESHES))
     def test_pins_exact_operator_norm_bits(self, name):
-        norm, witness, bound = exact_operator_norm(self.MESHES[name]())
+        norm, witness, bound, _ = exact_operator_norm(self.MESHES[name]())
         assert (norm.hex(), witness, bound.hex()) == self.PINNED[name]
 
     @pytest.mark.parametrize("name", list(MESHES))
@@ -717,7 +737,7 @@ class TestRowPruning:
         assert 1e-13 < 1 - bounds[3] / bounds[12] < 1e-12
         for rows in (1, 3, mesh.n_vertices):
             monkeypatch.setattr(projection, "_BLOCK_VALUES", rows * mesh.simplices.size)
-            norm, witness, bound = exact_operator_norm(mesh)
+            norm, witness, bound, _ = exact_operator_norm(mesh)
             assert witness == 3
             assert norm == pytest.approx(bound, rel=1e-15)
 
@@ -764,42 +784,101 @@ class TestNormBounds:
         ids=lambda m: f"d{m.dim}",
     )
     def test_exact_norm_below_inverse_bound(self, mesh):
-        norm, _, bound = exact_operator_norm(mesh)
+        norm, _, bound, _ = exact_operator_norm(mesh)
         assert norm <= bound * (1 + 1e-12) + 1e-12
 
 
-def _coupling_check(mesh):
-    return proposition1_check(mesh, exact_operator_norm(mesh).norm)
-
-
 class TestCouplingBound:
+    # c0, the smallest coupling of A = D^{-1} M, and Proposition 1's bound
+    # (1 + 2 c0) / c0^2, both read from the norm's own M
     def test_smallest_square_mesh(self):
-        result = _coupling_check(build_uniform_square(1))
+        result = exact_operator_norm(build_uniform_square(1))
         assert result.c0 == pytest.approx(0.25, rel=1e-14)
-        assert result.bound == pytest.approx(24.0, rel=1e-12)
-        assert result.satisfied
+        assert result.prop1_bound == pytest.approx(24.0, rel=1e-12)
+        assert result.norm <= result.prop1_bound + 1e-8
 
     def test_coupling_stabilizes_on_refinement(self):
-        r5 = _coupling_check(build_uniform_square(5))
-        r6 = _coupling_check(build_uniform_square(6))
+        r5 = exact_operator_norm(build_uniform_square(5))
+        r6 = exact_operator_norm(build_uniform_square(6))
         assert r5.c0 == pytest.approx(r6.c0, rel=1e-14)
         assert r5.c0 == pytest.approx(0.125, rel=1e-14)
 
     def test_shrinking_squares_satisfy_but_blow_up(self):
-        loose = _coupling_check(build_counterexample_2d(2, 0.3))
-        tight = _coupling_check(build_counterexample_2d(2, 0.01))
-        assert loose.satisfied and tight.satisfied
+        loose = exact_operator_norm(build_counterexample_2d(2, 0.3))
+        tight = exact_operator_norm(build_counterexample_2d(2, 0.01))
+        assert loose.norm <= loose.prop1_bound + 1e-8
+        assert tight.norm <= tight.prop1_bound + 1e-8
         # the coupling degenerates with t, so the bound explodes
         assert tight.c0 < loose.c0
-        assert tight.bound > 100 * loose.bound
+        assert tight.prop1_bound > 100 * loose.prop1_bound
+
+    @pytest.mark.parametrize("mesh", [build_uniform_square(3), build_counterexample_2d(3, 0.1)],
+                             ids=["uniform-n3", "cx-J3"])
+    def test_c0_is_the_smallest_coupling_of_neighbors(self, mesh):
+        A = normalized_system(mesh, np.zeros(mesh.n_simplices)).A
+        neighbors = (assemble_mass(mesh).toarray() != 0) & ~np.eye(mesh.n_vertices, dtype=bool)
+        assert exact_operator_norm(mesh).c0 == A[neighbors].min()
 
     def test_requires_2d(self):
-        with pytest.raises(UnsupportedDimension):
-            proposition1_check(build_interval_partition([0.0, 1.0]), 5 / 3)
+        for mesh in build_interval_partition([0.0, 1.0]), build_pyramid_partition(1, 0.3, 3):
+            result = exact_operator_norm(mesh)
+            assert result.c0 is None
+            assert result.prop1_bound is None
 
-    def test_reports_the_norm_it_is_given(self):
-        mesh = build_uniform_square(2)
-        norm = exact_operator_norm(mesh).norm
-        assert proposition1_check(mesh, norm).exact_norm == norm
-        assert not proposition1_check(mesh, 1e6).satisfied
 
+class TestProperties:
+    # random stellar refinements of a simplex in d = 1..4, graded up to 10
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_projection_is_self_adjoint(self, d, splits, seed):
+        # <F_g, x_f> = x_g^T M x_f = <F_f, x_g>.  Both sides use the same float
+        # volumes, so only rounding and the solves separate them:
+        # - forming a load entry over a star of s simplices and the dot
+        #   product over n vertices each err by at most about (s + 2) eps and
+        #   n eps of the sum of absolute terms, S = <|F|_g, |x_f|> +
+        #   <|F|_f, |x_g|>, with |F|_g the load of |g|;
+        # - x_f solves M x = F_f + r_f, with |r_f| <= res_f ||D^{-1} F_f||_inf D
+        #   by the normalized residual res_f, so <F_g, x_f> moves by at most
+        #   res_f ||D^{-1} F_f||_inf <D, |x_g|>, and likewise for x_g
+        rng = np.random.default_rng(seed)
+        mesh = SimplicialMesh(*oracles.random_stellar_mesh(rng, d, splits, max_grading=10))
+        f, g = rng.uniform(-1.0, 1.0, (2, mesh.n_simplices))
+        F_f, F_g = assemble_load(mesh, f), assemble_load(mesh, g)
+        (x_f, res_f), (x_g, res_g) = solve_with_load(mesh, F_f), solve_with_load(mesh, F_g)
+        diag = assemble_mass(mesh).diagonal()
+        S = (assemble_load(mesh, np.abs(g)) @ np.abs(x_f)
+             + assemble_load(mesh, np.abs(f)) @ np.abs(x_g))
+        star = np.bincount(mesh.simplices.ravel()).max()
+        eps = np.finfo(float).eps
+        tol = ((mesh.n_vertices + star + 2) * eps * S
+               + res_f * np.abs(F_f / diag).max() * (diag @ np.abs(x_g))
+               + res_g * np.abs(F_g / diag).max() * (diag @ np.abs(x_f)))
+        assert abs(F_g @ x_f - F_f @ x_g) <= tol
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_norm_is_bitwise_invariant_under_scaling_and_reflection(self, d, splits, seed):
+        # scaling by a power of 2 scales every volume, mass entry and dual row
+        # exactly, and negating a coordinate negates the determinants exactly;
+        # == on the finite positive fields is bitwise
+        vertices, simplices = oracles.random_stellar_mesh(np.random.default_rng(seed), d, splits,
+                                                          max_grading=10)
+        expected = exact_operator_norm(SimplicialMesh(vertices, simplices))
+        reflect = np.ones(d)
+        reflect[0] = -1.0
+        for moved in 4.0 * vertices, 0.25 * vertices, reflect * vertices:
+            assert exact_operator_norm(SimplicialMesh(moved, simplices)) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_bound_chain(self, d, splits, seed):
+        # sup |P f| <= norm * sup |f| <= ainv_bound * sup |f|, and in 2D the
+        # norm is below Proposition 1's bound; 1e-12 covers the norm's rounding
+        rng = np.random.default_rng(seed)
+        mesh = SimplicialMesh(*oracles.random_stellar_mesh(rng, d, splits, max_grading=10))
+        f = rng.uniform(-1.0, 1.0, mesh.n_simplices)
+        result = exact_operator_norm(mesh)
+        assert project(mesh, f).sup_norm <= result.norm * np.abs(f).max() * (1 + 1e-12)
+        assert result.norm <= result.ainv_bound * (1 + 1e-12)
+        if d == 2:
+            assert result.norm <= result.prop1_bound * (1 + 1e-12)
